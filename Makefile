@@ -77,14 +77,15 @@ check-tenants:
 # (eviction-order scripts, the fuzz differential against a map-backed
 # reference, the zero-alloc steady state), the parallel-vs-serial
 # closed-loop bit-identity differential across every scheme and tenant
-# mix, the zero-alloc request loop, the concurrent contention study
+# mix, the zero-alloc request loop, the single-stream closed-loop golden
+# snapshots (five schemes, buffer off and on), the concurrent contention study
 # (concurrent == serial rows, standalone cell == study row, aggregated
 # progress/cancel), and the sharded "contention" job kind — all under
 # the race detector.
 check-closedloop:
 	$(GO) test -race -count 1 \
 	  -run 'TestEvictionOrder|TestSlab|TestWriteCacheSteadyState' ./internal/cache
-	$(GO) test -race -count 1 -run 'TestClosedLoop|TestContention' ./internal/core
+	$(GO) test -race -count 1 -run 'TestClosedLoop|TestContention|TestGoldenClosedLoop' ./internal/core
 	$(GO) test -race -count 1 -run 'TestContention|TestV4' ./internal/server
 
 # Regenerate every table and figure of the paper (plus the P/E sweep).

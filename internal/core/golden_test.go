@@ -105,3 +105,44 @@ func TestGoldenNewSchemesAllTraces(t *testing.T) {
 		})
 	}
 }
+
+// TestGoldenClosedLoopStream pins the single-stream closed loop: ts0 at
+// queue depth 8 through every scheme, with the write-cache front-end off
+// and on. The depth gate binds on this trace, so any drift in the gate,
+// the progress-free request path or the buffer's flush decisions fails
+// here with a line diff.
+func TestGoldenClosedLoopStream(t *testing.T) {
+	tr, err := trace.Generate(trace.Profiles["ts0"], 11, 0.003)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arms := []struct {
+		suffix string
+		wc     *cache.Config
+	}{
+		{"", nil},
+		{"-buffered", &cache.Config{CapacityBytes: 256 << 10}},
+	}
+	for _, schemeName := range SchemeNames {
+		for _, arm := range arms {
+			schemeName, arm := schemeName, arm
+			t.Run("stream-"+schemeName+arm.suffix, func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.Flash = smallFlash()
+				cfg.Scheme = schemeName
+				sim, err := NewFresh(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := sim.RunClosedLoopSpec(context.Background(),
+					ClosedLoopSpec{Trace: tr, Depth: 8, WriteCache: arm.wc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				snap := *res
+				path := filepath.Join("testdata", "golden", fmt.Sprintf("stream-%s%s.json", schemeName, arm.suffix))
+				golden.Check(t, path, &snap)
+			})
+		}
+	}
+}
