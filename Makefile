@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race serve serve-test serve-cluster-test bench bench-json bench-baseline bench-check check-schemes check-parallel check-tenants check-closedloop experiments ablation sensitivity fuzz fuzz-parse fuzz-replay golden clean
+.PHONY: all build test vet race serve serve-test serve-cluster-test bench bench-json bench-baseline bench-check check-schemes check-tenants check-closedloop experiments ablation sensitivity fuzz fuzz-parse fuzz-replay golden clean
 
 all: build test
 
@@ -54,13 +54,6 @@ check-schemes:
 	$(GO) test -count 1 ./internal/scheme
 	$(GO) test -count 1 -run 'TestDifferential|TestRunDifferential|TestGolden|TestRegistry|TestSchemeNames' ./internal/core
 
-# The parallel-replay acceptance gate: the commit-pipeline units and the
-# parallel-vs-serial bit-identity differential — every scheme and trace at
-# Parallelism 1 vs N compared with reflect.DeepEqual on full results —
-# plus the cancellation goroutine-leak check, all under the race detector.
-check-parallel:
-	$(GO) test -race -count 1 -run 'TestPipeline|TestParallel' ./internal/sim ./internal/core
-
 # The multi-tenant/spec-API acceptance gate: the spec-vs-legacy
 # bit-identity differential across every scheme, multi-tenant replay
 # determinism, cancelled-run per-tenant partials, the write-cache
@@ -75,9 +68,9 @@ check-tenants:
 
 # The closed-loop fast-path acceptance gate: the slab write cache
 # (eviction-order scripts, the fuzz differential against a map-backed
-# reference, the zero-alloc steady state), the parallel-vs-serial
-# closed-loop bit-identity differential across every scheme and tenant
-# mix, the zero-alloc request loop, the single-stream closed-loop golden
+# reference, the zero-alloc steady state), the request loop's open- vs
+# closed-loop parity (results, progress ticks, cancel points), the
+# zero-alloc request loop, the single-stream closed-loop golden
 # snapshots (five schemes, buffer off and on), the concurrent contention study
 # (concurrent == serial rows, standalone cell == study row, aggregated
 # progress/cancel), and the sharded "contention" job kind — all under

@@ -5,7 +5,7 @@
 //
 //	ipusim [-scheme IPU] [-trace ts0 | -file trace.csv] [-scale 0.05]
 //	       [-seed 42] [-pe 4000] [-full] [-printconfig] [-check full]
-//	       [-progress] [-parallel 8] [-qd 16] [-tenants ts0:3,wdev0:1]
+//	       [-progress] [-qd 16] [-tenants ts0:3,wdev0:1]
 //	       [-cache 4194304]
 //
 // -tenants replays several tenant streams interleaved onto one device
@@ -16,12 +16,9 @@
 //
 // -trace selects one of the six synthetic paper workloads; -file replays a
 // real trace instead — MSR-Cambridge CSV or a compiled binary .itc file
-// (see tracegen -compile), detected by content. -parallel evaluates
-// per-subpage read-error arithmetic on that many workers with results
-// committed in simulated-time order, so metrics are bit-identical to a
-// serial run. -progress reports replay progress on stderr while the run is
+// (see tracegen -compile), detected by content. -progress reports replay progress on stderr while the run is
 // in flight. Interrupting the process (Ctrl-C / SIGTERM) cancels the
-// replay cleanly at the next request boundary.
+// replay cleanly within 64 requests.
 package main
 
 import (
@@ -58,7 +55,6 @@ type options struct {
 	Seed        int64
 	PE          int
 	QD          int
-	Parallel    int
 	Full        bool
 	PrintConfig bool
 	Dist        bool
@@ -92,7 +88,6 @@ func main() {
 		"multi-tenant closed loop: comma-separated profile[:weight][@phase-ns] list (requires -qd)")
 	flag.Int64Var(&o.CacheBytes, "cache", 0, "DRAM write-buffer capacity in bytes (0 = off; requires -qd)")
 	flag.IntVar(&o.CacheLine, "cacheline", 0, "write-buffer line size in bytes (0 = default 4096)")
-	flag.IntVar(&o.Parallel, "parallel", 0, "read-path evaluation workers (0/1 = serial; metrics are identical either way)")
 	flag.StringVar(&o.ConfigPath, "config", "", "load device/error configuration from a JSON file")
 	flag.StringVar(&o.Check, "check", "", "invariant checking: off, shadow or full (slow; use for debugging, not benchmarks)")
 	progress := flag.Bool("progress", false, "report replay progress on stderr")
@@ -139,9 +134,6 @@ func run(ctx context.Context, out io.Writer, o options) error {
 		o.Scheme = "IPU"
 	}
 	cfg.Scheme = o.Scheme
-	if o.Parallel > 0 {
-		cfg.Parallelism = o.Parallel
-	}
 
 	if o.PrintConfig {
 		return core.Table2(&cfg.Flash).Render(out)

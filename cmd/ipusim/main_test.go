@@ -126,34 +126,6 @@ func TestRunITCFile(t *testing.T) {
 	}
 }
 
-// TestRunParallelFlag checks the -parallel path produces the same report
-// as a serial run.
-func TestRunParallelFlag(t *testing.T) {
-	var serial, par strings.Builder
-	o := options{Scheme: "IPU", Trace: "ads", Scale: 0.002, Seed: 1}
-	if err := run(bg(), &serial, o); err != nil {
-		t.Fatal(err)
-	}
-	o.Parallel = 4
-	if err := run(bg(), &par, o); err != nil {
-		t.Fatal(err)
-	}
-	// Reports include wall time, which differs; compare every other line.
-	sl := strings.Split(serial.String(), "\n")
-	pl := strings.Split(par.String(), "\n")
-	if len(sl) != len(pl) {
-		t.Fatalf("report shapes differ: %d vs %d lines", len(sl), len(pl))
-	}
-	for i := range sl {
-		if strings.Contains(sl[i], "wall time") {
-			continue
-		}
-		if sl[i] != pl[i] {
-			t.Errorf("line %d differs:\nserial: %s\nparallel: %s", i, sl[i], pl[i])
-		}
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	var out strings.Builder
 	if err := run(bg(), &out, options{Scheme: "IPU", Trace: "nope", Scale: 0.01, Seed: 1}); err == nil {

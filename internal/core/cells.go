@@ -65,7 +65,6 @@ func RunCellContext(ctx context.Context, spec MatrixSpec, cell MatrixCell) (*Res
 		cfg.Flash.PEBaseline = cell.PE
 	}
 	cfg.Scheme = cell.Scheme
-	cfg.Parallelism = spec.Parallelism
 	sim, err := New(cfg)
 	if err != nil {
 		return nil, err

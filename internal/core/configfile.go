@@ -14,7 +14,8 @@ import (
 // ConfigSchemaVersion is the config file schema this build reads. Files
 // state it in a top-level "version" field; an absent field is read as
 // version 1 (the pre-versioning schema is identical). Version 2 adds the
-// top-level "parallelism" knob; version-1 files remain readable. Any
+// top-level "parallelism" key, now accepted and ignored; version-1 files
+// remain readable. Any
 // other value is rejected so a future-schema file fails loudly instead of
 // being half applied.
 const ConfigSchemaVersion = 2
@@ -60,9 +61,9 @@ type fileConfig struct {
 	// Check selects the invariant-checking level: "off", "shadow" or
 	// "full" (see internal/check). Absent means off.
 	Check string `json:"check,omitempty"`
-	// Parallelism is the intra-run read-pipeline worker count (schema
-	// version 2; see Config.Parallelism). Absent, 0 and 1 all mean a
-	// serial replay.
+	// Parallelism (schema version 2) once sized an intra-run read
+	// pipeline. Replays are now always serial: the key is still accepted,
+	// and a negative value still rejected, but it changes nothing.
 	Parallelism *int `json:"parallelism,omitempty"`
 
 	Flash struct {
@@ -142,11 +143,8 @@ func LoadConfig(r io.Reader) (Config, error) {
 	if fc.Scheme != "" {
 		cfg.Scheme = fc.Scheme
 	}
-	if fc.Parallelism != nil {
-		if *fc.Parallelism < 0 {
-			return cfg, fmt.Errorf("core: config: parallelism %d must be non-negative", *fc.Parallelism)
-		}
-		cfg.Parallelism = *fc.Parallelism
+	if fc.Parallelism != nil && *fc.Parallelism < 0 {
+		return cfg, fmt.Errorf("core: config: parallelism %d must be non-negative", *fc.Parallelism)
 	}
 	lvl, err := check.ParseLevel(fc.Check)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -156,13 +157,18 @@ func TestLoadConfigSchemaVersion(t *testing.T) {
 	if _, err := LoadConfig(strings.NewReader(`{"scheme": "MGA"}`)); err != nil {
 		t.Errorf("unversioned config rejected: %v", err)
 	}
-	// Version 2 (the current schema) is accepted and reads parallelism.
+	// Version 2 (the current schema) is accepted; its "parallelism" key
+	// is still read but changes nothing.
 	cfg, err = LoadConfig(strings.NewReader(`{"version": 2, "parallelism": 4}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Parallelism != 4 {
-		t.Errorf("parallelism = %d, want 4", cfg.Parallelism)
+	plain, err := LoadConfig(strings.NewReader(`{"version": 2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cfg, plain) {
+		t.Errorf("parallelism changed the loaded config:\n got %+v\nwant %+v", cfg, plain)
 	}
 	// A future version is rejected, naming the supported range.
 	_, err = LoadConfig(strings.NewReader(`{"version": 3}`))

@@ -10,7 +10,7 @@ import (
 
 // TestRunContextCancelStopsWithinOneRequest cancels a replay from inside
 // the per-request progress callback and asserts not a single further
-// request is issued: cancellation is checked on every request boundary.
+// request is issued: the loop polls ctx right after every callback.
 func TestRunContextCancelStopsWithinOneRequest(t *testing.T) {
 	tr, err := trace.Generate(trace.Profiles["ts0"], 3, 0.005)
 	if err != nil {
@@ -67,7 +67,7 @@ func TestRunClosedLoopContextCancel(t *testing.T) {
 			cancel()
 		}
 	})
-	if _, err := sim.RunClosedLoopContext(ctx, tr, 8); !errors.Is(err, context.Canceled) {
+	if _, err := sim.RunClosedLoopSpec(ctx, ClosedLoopSpec{Trace: tr, Depth: 8}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if replayed != stopAt {
@@ -264,8 +264,8 @@ func TestReleasedSimulatorRefusesUse(t *testing.T) {
 	if _, err := sim.Run(tr); !errors.Is(err, ErrReleased) {
 		t.Fatalf("Run after Release: err = %v, want ErrReleased", err)
 	}
-	if _, err := sim.RunClosedLoop(tr, 4); !errors.Is(err, ErrReleased) {
-		t.Fatalf("RunClosedLoop after Release: err = %v, want ErrReleased", err)
+	if _, err := sim.RunClosedLoopSpec(context.Background(), ClosedLoopSpec{Trace: tr, Depth: 4}); !errors.Is(err, ErrReleased) {
+		t.Fatalf("RunClosedLoopSpec after Release: err = %v, want ErrReleased", err)
 	}
 	if res := sim.Result("t", 1); res != nil {
 		t.Fatalf("Result after Release = %+v, want nil", res)

@@ -31,12 +31,6 @@ type MatrixSpec struct {
 	Flash *flash.Config
 	// Workers bounds concurrent runs; 0 means GOMAXPROCS.
 	Workers int
-	// Parallelism sets each run's intra-run read-pipeline worker count
-	// (Config.Parallelism); 0 or 1 replays each cell serially. Results
-	// are bit-identical either way. Cross-cell Workers parallelism is
-	// usually the better lever for sweeps; intra-run parallelism pays off
-	// when a sweep has fewer cells than cores or one dominant run.
-	Parallelism int
 	// OnProgress, if set, receives aggregated Progress snapshots while the
 	// sweep runs: Replayed/Total count requests across every run in the
 	// sweep combined, GCs accumulates garbage collections across runs, and
@@ -174,7 +168,7 @@ func RunMatrix(spec MatrixSpec) ([]*Result, error) {
 // and shared read-only by the scheme runs. Results come back sorted by
 // (trace order, P/E, scheme order), independent of scheduling.
 //
-// Cancelling ctx stops every in-flight run within one request boundary and
+// Cancelling ctx stops every in-flight run within 64 requests and
 // returns ctx's error; the partially replayed devices are still returned
 // to the snapshot cache's free pool (a recycled device is restored in
 // place before reuse, so a partial replay cannot leak state into a later
@@ -216,7 +210,6 @@ func RunMatrixContext(ctx context.Context, spec MatrixSpec) ([]*Result, error) {
 			cfg.Flash.PEBaseline = j.PE
 		}
 		cfg.Scheme = j.Scheme
-		cfg.Parallelism = spec.Parallelism
 		sim, err := New(cfg)
 		if err != nil {
 			errs[i] = err

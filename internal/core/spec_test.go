@@ -11,8 +11,8 @@ import (
 	"ipusim/internal/workload"
 )
 
-// referenceClosedLoop replays tr the way the legacy positional
-// RunClosedLoop did, hand-rolled from the public Write/Read entry points:
+// referenceClosedLoop replays tr the way the original positional
+// closed-loop API did, hand-rolled from the public Write/Read entry points:
 // a ring of completion gates, request i waiting on request i-depth. The
 // spec-based engine must be bit-identical to this.
 func referenceClosedLoop(t *testing.T, sim *Simulator, tr *trace.Trace, depth int) *Result {
@@ -70,19 +70,6 @@ func TestSpecPathMatchesLegacyAllSchemes(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: spec path diverged from legacy loop:\n got %+v\nwant %+v", name, got, want)
-		}
-
-		// And the deprecated wrapper must go through the same engine.
-		wrap, err := NewFresh(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		viaWrapper, err := wrap.RunClosedLoop(tr, depth)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(viaWrapper, want) {
-			t.Errorf("%s: RunClosedLoop wrapper diverged from legacy loop", name)
 		}
 	}
 }

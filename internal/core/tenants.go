@@ -59,16 +59,13 @@ type TenantContentionSpec struct {
 	// CacheBytes sizes the DRAM write buffer of the buffered arm
 	// (default 4 MiB). Every mix runs twice: buffer off, then on.
 	CacheBytes int64
-	Seed  int64
-	Scale float64
-	Flash *flash.Config
+	Seed       int64
+	Scale      float64
+	Flash      *flash.Config
 	// Workers bounds concurrently running cells; 0 means GOMAXPROCS.
 	// Rows are deterministic regardless: cells are enumerated and indexed
 	// up front, so scheduling never reorders them.
 	Workers int
-	// Parallelism sets each cell's intra-run read-pipeline worker count
-	// (Config.Parallelism); results are bit-identical either way.
-	Parallelism int
 	// OnProgress, if set, receives aggregated Progress snapshots:
 	// Replayed/Total count requests across every cell of the study
 	// combined, GCs accumulates across cells, SimTime is the reporting
@@ -163,8 +160,7 @@ func contentionRunSpec(spec *TenantContentionSpec, cell ContentionCell) ClosedLo
 // RunContentionCellContext replays one contention cell on a snapshot-
 // cached device and returns its row. It is the unit a cluster
 // coordinator dispatches — and the local fallback when a remote worker
-// dies. The spec's Workers field is irrelevant here; Parallelism is
-// honoured.
+// dies. The spec's Workers field is irrelevant here.
 func RunContentionCellContext(ctx context.Context, spec TenantContentionSpec, cell ContentionCell) (ContentionRow, error) {
 	spec.normalize()
 	cfg := DefaultConfig()
@@ -172,7 +168,6 @@ func RunContentionCellContext(ctx context.Context, spec TenantContentionSpec, ce
 		cfg.Flash = *spec.Flash
 	}
 	cfg.Scheme = cell.Scheme
-	cfg.Parallelism = spec.Parallelism
 	sim, err := New(cfg)
 	if err != nil {
 		return ContentionRow{}, err

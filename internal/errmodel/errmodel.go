@@ -130,9 +130,8 @@ func (m *Model) EffectiveBER(pe int, sp *flash.Subpage) float64 {
 
 // StressedBER applies the disturb and reprogram stress terms to an already
 // computed base (Fig. 2) rate. It is the second half of EffectiveBER,
-// split out so callers that memoise RawBER — and the parallel read
-// pipeline, which snapshots the stress counters at dispatch — evaluate the
-// exact same expression and stay bit-identical with the direct path.
+// split out so callers that memoise RawBER evaluate the exact same
+// expression and stay bit-identical with the direct path.
 func (m *Model) StressedBER(base float64, inPage, neighbor, reprogram uint16) float64 {
 	return base * (1 +
 		m.InPageAlpha*float64(inPage) +

@@ -80,28 +80,10 @@ type Device struct {
 	// count ([0] conventional, [1] partial); unmappedCost caches the
 	// constant ECC cost of reading never-written data. Both are pure
 	// caches of deterministic functions of the immutable (Cfg, Err) pair,
-	// so sharing them between the serial and pipelined read paths cannot
-	// change any result bit.
+	// so they cannot change any result bit.
 	berMemo        [2][]float64
 	unmappedCost   errmodel.ReadCost
 	unmappedCostOK bool
-
-	// pipe, when non-nil, routes host reads through the intra-run
-	// parallel pipeline (see readpipe.go). Managed by StartReadPipeline/
-	// StopReadPipeline; always nil on clones, templates and pooled
-	// devices.
-	pipe *readPipe
-
-	// onReadCommit, when non-nil, receives each pipelined host read's true
-	// completion time (including the deferred ECC extra) as its result
-	// commits — always in dispatch order. Closed-loop drivers use it to
-	// resolve queue-depth gates without flushing the whole pipeline.
-	// dispatchedReads counts host read requests handed to the pipeline, so
-	// a front-end can tell a DRAM-served read (no device dispatch) from one
-	// whose completion will arrive through the hook. Both are per-run
-	// transient state: nil/zero on clones, templates and pooled devices.
-	onReadCommit    func(end int64)
-	dispatchedReads int64
 
 	// Check, when non-nil, is the attached invariant checker: host writes,
 	// trims and reads are mirrored into its shadow store, and every GC
@@ -219,9 +201,6 @@ func (d *Device) Clone() *Device {
 	// and grow their memos independently.
 	c.berMemo[0] = append([]float64(nil), d.berMemo[0]...)
 	c.berMemo[1] = append([]float64(nil), d.berMemo[1]...)
-	c.pipe = nil
-	c.onReadCommit = nil
-	c.dispatchedReads = 0
 	c.Check = nil
 	c.TestHooks.AfterHostWrite = nil
 	return c
@@ -269,9 +248,6 @@ func (d *Device) Restore(t *Device) {
 	d.berMemo[0] = berMemo[0][:0]
 	d.berMemo[1] = berMemo[1][:0]
 	d.unmappedCostOK = false
-	d.pipe = nil
-	d.onReadCommit = nil
-	d.dispatchedReads = 0
 	d.Check = nil
 	d.TestHooks.AfterHostWrite = nil
 }
@@ -896,20 +872,44 @@ func (d *Device) groupRead(lsns []flash.LSN) {
 	d.unmappedCnt = uc
 }
 
+// rawBER returns the Fig. 2 base rate for a block's erase count and a
+// subpage's programming mode, memoised per device. The memo is exact:
+// RawBER is a deterministic function of (PEBaseline+eraseCount, partial).
+func (d *Device) rawBER(eraseCount int, partial bool) float64 {
+	idx := 0
+	if partial {
+		idx = 1
+	}
+	memo := d.berMemo[idx]
+	for len(memo) <= eraseCount {
+		memo = append(memo, -1)
+	}
+	if memo[eraseCount] < 0 {
+		memo[eraseCount] = d.Err.RawBER(d.Cfg.PEBaseline+eraseCount, partial)
+	}
+	d.berMemo[idx] = memo
+	return memo[eraseCount]
+}
+
+// unmappedReadCost returns the constant ECC cost of reading never-written
+// (pre-trace) data: clean conventional MLC at the P/E baseline.
+func (d *Device) unmappedReadCost() *errmodel.ReadCost {
+	if !d.unmappedCostOK {
+		d.unmappedCost = d.Err.CostFromBER(d.Err.RawBER(d.Cfg.PEBaseline, false))
+		d.unmappedCostOK = true
+	}
+	return &d.unmappedCost
+}
+
 // ReadReq services a host read: mapped subpages are read from their
 // physical pages (one flash read per distinct page, with per-subpage ECC
 // cost from the error model); unmapped subpages model data written before
 // the trace began and are charged as clean MLC reads. Returns the request
-// completion time and records latency and BER metrics. With the read
-// pipeline enabled the ECC evaluation and metric fold are deferred
-// (bit-identically) and the returned time excludes the ECC extra.
+// completion time and records latency and BER metrics.
 func (d *Device) ReadReq(now int64, offset int64, size int) int64 {
 	lsns := d.LSNRange(offset, size)
 	if d.Check != nil {
 		must(d.Check.CheckRead(now, lsns))
-	}
-	if d.pipe != nil {
-		return d.readReqAsync(now, lsns)
 	}
 	d.groupRead(lsns)
 

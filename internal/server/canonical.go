@@ -24,9 +24,7 @@ import (
 // requested kind zeroed, and lifecycle-only fields (Timeout) cleared.
 func canonicalRequest(req JobRequest, defaultScale float64) JobRequest {
 	req.Timeout = ""
-	// Parallelism changes how fast a result is computed, never the result
-	// itself (bit-identical by the scheme's in-order commit), so serial and
-	// parallel submissions of the same experiment share one address.
+	// Parallelism is accepted and ignored, so it never splits an address.
 	req.Parallelism = 0
 	if req.Scale == 0 {
 		req.Scale = defaultScale

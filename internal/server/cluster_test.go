@@ -145,7 +145,7 @@ func TestJobKeyCanonicalisation(t *testing.T) {
 		Scale:       scale,
 		Seed:        42,
 		Timeout:     "3m", // lifecycle-only; must not affect the key
-		Parallelism: 8,    // speed-only; results are bit-identical to serial
+		Parallelism: 8,    // accepted and ignored; must not affect the key
 	}, scale)
 	if implicit != explicit {
 		t.Fatalf("defaulted matrix keys differ: %s vs %s", implicit, explicit)

@@ -86,9 +86,10 @@ type JobRequest struct {
 	Mixes      []core.TenantMix `json:"mixes,omitempty"`
 	CacheBytes int64            `json:"cacheBytes,omitempty"`
 
-	// Parallelism sets per-run read-path evaluation workers (0/1 =
-	// serial). It never changes results — metrics are bit-identical either
-	// way — so it is excluded from the job's content address.
+	// Parallelism once sized a per-run read pipeline. Replays are now
+	// always serial: the field is still accepted (a negative value is
+	// still rejected) but changes nothing, and it stays out of the job's
+	// content address.
 	Parallelism int `json:"parallelism,omitempty"`
 
 	// Timeout caps the job's wall-clock run time (Go duration string,
@@ -283,7 +284,6 @@ func compileRun(req JobRequest) (jobFunc, error) {
 	return func(ctx context.Context, report core.ProgressFunc) (any, error) {
 		cfg := core.DefaultConfig()
 		cfg.Scheme = req.Scheme
-		cfg.Parallelism = req.Parallelism
 		if req.PEBaseline > 0 {
 			cfg.Flash.PEBaseline = req.PEBaseline
 		}
@@ -366,13 +366,12 @@ func compileCell(req JobRequest) (jobFunc, error) {
 	}
 	return func(ctx context.Context, report core.ProgressFunc) (any, error) {
 		spec := core.MatrixSpec{
-			Traces:      []string{req.Trace},
-			Schemes:     []string{req.Scheme},
-			Scale:       req.Scale,
-			Seed:        req.Seed,
-			Flash:       fc,
-			Parallelism: req.Parallelism,
-			OnProgress:  report,
+			Traces:     []string{req.Trace},
+			Schemes:    []string{req.Scheme},
+			Scale:      req.Scale,
+			Seed:       req.Seed,
+			Flash:      fc,
+			OnProgress: report,
 		}
 		cell := core.MatrixCell{Trace: req.Trace, Scheme: req.Scheme, PE: req.PEBaseline}
 		return core.RunCellContext(ctx, spec, cell)
@@ -393,7 +392,6 @@ func compileMatrix(req JobRequest) (jobFunc, error) {
 			PEBaselines: req.PEBaselines,
 			Scale:       req.Scale,
 			Seed:        req.Seed,
-			Parallelism: req.Parallelism,
 			OnProgress:  report,
 		}
 		return core.RunMatrixContext(ctx, spec)
@@ -438,14 +436,13 @@ func compileContention(req JobRequest) (jobFunc, error) {
 	}
 	return func(ctx context.Context, report core.ProgressFunc) (any, error) {
 		spec := core.TenantContentionSpec{
-			Mixes:       req.Mixes,
-			Schemes:     req.Schemes,
-			Depth:       req.QueueDepth,
-			CacheBytes:  req.CacheBytes,
-			Seed:        req.Seed,
-			Scale:       req.Scale,
-			Parallelism: req.Parallelism,
-			OnProgress:  report,
+			Mixes:      req.Mixes,
+			Schemes:    req.Schemes,
+			Depth:      req.QueueDepth,
+			CacheBytes: req.CacheBytes,
+			Seed:       req.Seed,
+			Scale:      req.Scale,
+			OnProgress: report,
 		}
 		return core.RunTenantContentionContext(ctx, spec)
 	}, nil
@@ -467,12 +464,11 @@ func compileSensitivity(req JobRequest) (jobFunc, error) {
 	}
 	return func(ctx context.Context, report core.ProgressFunc) (any, error) {
 		spec := core.MatrixSpec{
-			Traces:      req.Traces,
-			Schemes:     req.Schemes,
-			Scale:       req.Scale,
-			Seed:        req.Seed,
-			Parallelism: req.Parallelism,
-			OnProgress:  report,
+			Traces:     req.Traces,
+			Schemes:    req.Schemes,
+			Scale:      req.Scale,
+			Seed:       req.Seed,
+			OnProgress: report,
 		}
 		return core.RunSensitivityContext(ctx, req.Param, spec)
 	}, nil
