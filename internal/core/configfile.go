@@ -61,9 +61,9 @@ type fileConfig struct {
 	// Check selects the invariant-checking level: "off", "shadow" or
 	// "full" (see internal/check). Absent means off.
 	Check string `json:"check,omitempty"`
-	// Parallelism (schema version 2) once sized an intra-run read
-	// pipeline. Replays are now always serial: the key is still accepted,
-	// and a negative value still rejected, but it changes nothing.
+	// Parallelism (schema version 2) is accepted so existing v2 files
+	// keep loading, and ignored: every replay is serial. A negative value
+	// is still rejected.
 	Parallelism *int `json:"parallelism,omitempty"`
 
 	Flash struct {

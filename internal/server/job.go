@@ -86,10 +86,9 @@ type JobRequest struct {
 	Mixes      []core.TenantMix `json:"mixes,omitempty"`
 	CacheBytes int64            `json:"cacheBytes,omitempty"`
 
-	// Parallelism once sized a per-run read pipeline. Replays are now
-	// always serial: the field is still accepted (a negative value is
-	// still rejected) but changes nothing, and it stays out of the job's
-	// content address.
+	// Parallelism is accepted so existing clients keep working, and
+	// ignored: every replay is serial. A negative value is still
+	// rejected, and the field stays out of the job's content address.
 	Parallelism int `json:"parallelism,omitempty"`
 
 	// Timeout caps the job's wall-clock run time (Go duration string,

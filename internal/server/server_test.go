@@ -140,6 +140,7 @@ func TestSubmitValidation(t *testing.T) {
 		"unknown field":  `{"kind":"run","shceme":"IPU"}`,
 		"matrix scheme":  `{"kind":"matrix","schemes":["IPU","NOPE"]}`,
 		"bad param":      `{"kind":"sensitivity","param":"warp"}`,
+		"bad parallel":   `{"kind":"run","parallelism":-1}`,
 	} {
 		resp, _ := postJob(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {
