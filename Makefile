@@ -15,8 +15,9 @@ vet:
 test: vet
 	$(GO) test ./...
 
-# The matrix harness is the only concurrent code path; -race over the
-# internal packages covers it plus every shared-state regression.
+# Matrix, contention and coordinator sweeps share one concurrent code
+# path, the core.ForEachCell worker pool; -race over the internal
+# packages covers it plus every shared-state regression.
 race:
 	$(GO) test -race ./internal/...
 
@@ -73,12 +74,12 @@ check-tenants:
 # zero-alloc request loop, the single-stream closed-loop golden
 # snapshots (five schemes, buffer off and on), the concurrent contention study
 # (concurrent == serial rows, standalone cell == study row, aggregated
-# progress/cancel), and the sharded "contention" job kind — all under
-# the race detector.
+# progress/cancel), the ForEachCell worker pool the study's cells share,
+# and the sharded "contention" job kind — all under the race detector.
 check-closedloop:
 	$(GO) test -race -count 1 \
 	  -run 'TestEvictionOrder|TestSlab|TestWriteCacheSteadyState' ./internal/cache
-	$(GO) test -race -count 1 -run 'TestClosedLoop|TestContention|TestGoldenClosedLoop' ./internal/core
+	$(GO) test -race -count 1 -run 'TestClosedLoop|TestContention|TestGoldenClosedLoop|TestForEachCell' ./internal/core
 	$(GO) test -race -count 1 -run 'TestContention|TestV4' ./internal/server
 
 # Regenerate every table and figure of the paper (plus the P/E sweep).

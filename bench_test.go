@@ -40,7 +40,7 @@ func benchFlash() *flash.Config {
 // figure benchmarks.
 func runBenchMatrix(b *testing.B, traces []string, pes []int) *core.ResultSet {
 	b.Helper()
-	results, err := core.RunMatrix(core.MatrixSpec{
+	results, err := core.RunMatrixContext(context.Background(), core.MatrixSpec{
 		Traces:      traces,
 		PEBaselines: pes,
 		Scale:       benchScale,
@@ -271,14 +271,14 @@ func BenchmarkMatrix(b *testing.B) {
 		Seed:    benchSeed,
 		Flash:   benchFlash(),
 	}
-	if _, err := core.RunMatrix(spec); err != nil {
+	if _, err := core.RunMatrixContext(context.Background(), spec); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var reqs int
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunMatrix(spec)
+		res, err := core.RunMatrixContext(context.Background(), spec)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -269,7 +269,7 @@ func run(ctx context.Context, out io.Writer, o runOpts) error {
 
 	if o.Sensitivity != "" {
 		sensSpec := spec
-		sensSpec.Schemes = nil // RunSensitivity defaults to Baseline vs IPU
+		sensSpec.Schemes = nil // RunSensitivityContext defaults to Baseline vs IPU
 		tab, err := core.RunSensitivityContext(ctx, o.Sensitivity, sensSpec)
 		if err != nil {
 			return err

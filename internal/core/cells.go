@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 )
 
 // MatrixCell names one (trace, scheme, P/E) coordinate of a MatrixSpec.
@@ -37,12 +38,6 @@ func cellsOf(spec MatrixSpec) []MatrixCell {
 		}
 	}
 	return cells
-}
-
-// RunCell executes one cell of the spec. It is RunCellContext under
-// context.Background().
-func RunCell(spec MatrixSpec, cell MatrixCell) (*Result, error) {
-	return RunCellContext(context.Background(), spec, cell)
 }
 
 // RunCellContext executes one cell of the spec — the same configuration,
@@ -84,4 +79,50 @@ func RunCellContext(ctx context.Context, spec MatrixSpec, cell MatrixCell) (*Res
 	sim.Release()
 	res.PEBaseline = cfg.Flash.PEBaseline
 	return res, nil
+}
+
+// ForEachCell runs run(i) for every i in [0, n) on min(workers, n)
+// goroutines (at least one when n > 0) and is the one worker pool every
+// sweep shares. Each index is handed to exactly one call, so run may
+// store its result at index i without locking. A failing cell does not
+// stop the others. Once ctx is done no further index is dispatched;
+// ForEachCell joins every worker before it returns, then returns ctx's
+// error if ctx is done, and otherwise the error of the lowest failing
+// index.
+func ForEachCell(ctx context.Context, workers, n int, run func(i int) error) error {
+	workers = min(workers, n)
+	if workers < 1 && n > 0 {
+		workers = 1
+	}
+	errs := make([]error, n)
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				errs[i] = run(i)
+			}
+		}()
+	}
+dispatch:
+	for i := 0; i < n; i++ {
+		select {
+		case next <- i:
+		case <-ctx.Done():
+			break dispatch
+		}
+	}
+	close(next)
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

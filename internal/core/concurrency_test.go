@@ -13,10 +13,11 @@ import (
 )
 
 // Every replay is serial, but independent replays run concurrently:
-// RunMatrix and RunTenantContention spread cells over a worker pool, and
-// the simulators in flight share the snapshot templates, the device free
-// pool and the trace cache. The tests below check that running replays in
-// parallel never changes a result and never leaks a worker.
+// RunMatrixContext and RunTenantContentionContext spread cells over the
+// ForEachCell worker pool, and the simulators in flight share the
+// snapshot templates, the device free pool and the trace cache. The tests
+// below check that running replays in parallel never changes a result and
+// never leaks a worker.
 
 // parallelDiffScale keeps the 5-scheme x 6-trace differential fast while
 // still replaying thousands of requests per cell (enough to exercise GC,
@@ -123,7 +124,7 @@ func TestParallelMatrixMatchesSerial(t *testing.T) {
 		Seed:    42,
 		Workers: 4,
 	}
-	parallel, err := RunMatrix(spec)
+	parallel, err := RunMatrixContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,34 +153,55 @@ func TestParallelMatrixMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelCancelNoLeak cancels four-worker sweeps mid-run and asserts
-// the worker pool is joined — no goroutine outlives RunMatrixContext —
-// and the cancelled devices are consistent enough to rejoin the snapshot
-// free pool: a later replay on one matches a fresh build.
+// TestParallelCancelNoLeak cancels four-worker sweeps — matrix and
+// contention — mid-run and asserts the worker pool is joined — no
+// goroutine outlives the sweep — and the cancelled devices are consistent
+// enough to rejoin the snapshot free pool: a later replay on one matches
+// a fresh build.
 func TestParallelCancelNoLeak(t *testing.T) {
 	tr, err := cachedTrace("ts0", 42, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sweeps := []struct {
+		name string
+		run  func(ctx context.Context, onProgress ProgressFunc) error
+	}{
+		{"matrix", func(ctx context.Context, onProgress ProgressFunc) error {
+			_, err := RunMatrixContext(ctx, MatrixSpec{
+				Traces:        []string{"ts0"},
+				Scale:         0.05,
+				Seed:          42,
+				Workers:       4,
+				ProgressEvery: 256,
+				OnProgress:    onProgress,
+			})
+			return err
+		}},
+		{"contention", func(ctx context.Context, onProgress ProgressFunc) error {
+			_, err := RunTenantContentionContext(ctx, TenantContentionSpec{
+				Scale:      0.05,
+				Seed:       42,
+				Workers:    4,
+				OnProgress: onProgress,
+			})
+			return err
+		}},
+	}
 	before := runtime.NumGoroutine()
-	for i := 0; i < 4; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		var once sync.Once
-		_, err := RunMatrixContext(ctx, MatrixSpec{
-			Traces:        []string{"ts0"},
-			Scale:         0.05,
-			Seed:          42,
-			Workers:       4,
-			ProgressEvery: 256,
-			OnProgress: func(p Progress) {
+	for _, sw := range sweeps {
+		for i := 0; i < 4; i++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			var once sync.Once
+			err := sw.run(ctx, func(p Progress) {
 				if p.Replayed >= 1024 {
 					once.Do(cancel)
 				}
-			},
-		})
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
+			})
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled %s sweep returned %v, want context.Canceled", sw.name, err)
+			}
 		}
 	}
 	deadline := time.Now().Add(2 * time.Second)

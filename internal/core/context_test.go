@@ -225,7 +225,7 @@ func TestRunMatrixAggregatedProgress(t *testing.T) {
 		ProgressEvery: 64,
 		OnProgress:    func(p Progress) { last = p },
 	}
-	if _, err := RunMatrix(spec); err != nil {
+	if _, err := RunMatrixContext(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
 	tr, err := cachedTrace("ts0", 7, 0.005)

@@ -148,7 +148,7 @@ func (s *Simulator) OnProgress(every int, fn ProgressFunc) {
 // Release hands the scheme instance back to the snapshot cache's free pool
 // for recycling and invalidates the simulator: every later Write, Read or
 // Run on it fails with ErrReleased. Only callers that fully own the
-// simulator (RunMatrix workers, daemon jobs) may call it — a released
+// simulator (sweep cells, daemon jobs) may call it — a released
 // device is overwritten in place by a later job. Release is idempotent.
 func (s *Simulator) Release() {
 	if s.scheme == nil {
@@ -222,8 +222,11 @@ func (s *Simulator) Result(traceName string, requests int) *Result {
 	m := s.scheme.Metrics()
 	mm := ftl.NewMemoryModel(d.Cfg)
 
+	// The mapping-table formula follows the scheme's own name, not the
+	// registry name it was built under, so an alias of Baseline or MGA is
+	// sized as Baseline or MGA.
 	var mapBytes int64
-	switch s.cfg.Scheme {
+	switch s.scheme.Name() {
 	case "Baseline":
 		mapBytes = mm.BaselineBytes()
 	case "MGA":

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -41,7 +42,7 @@ func TestEnduranceRatiosMatchPaper(t *testing.T) {
 
 func TestLifetimeTable(t *testing.T) {
 	fc := smallFlash()
-	res, err := RunMatrix(MatrixSpec{
+	res, err := RunMatrixContext(context.Background(), MatrixSpec{
 		Traces: []string{"ts0"}, Scale: 0.003, Flash: &fc,
 	})
 	if err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -55,15 +54,22 @@ func (m *MatrixSpec) normalize() {
 		m.PEBaselines = []int{0} // sentinel: use config default
 	}
 	if m.Scale == 0 {
-		m.Scale = 0.05
+		m.Scale = defaultScale
 	}
 	if m.Seed == 0 {
-		m.Seed = 42
+		m.Seed = defaultSeed
 	}
 	if m.Workers <= 0 {
 		m.Workers = runtime.GOMAXPROCS(0)
 	}
 }
+
+// The trace-synthesis defaults every spec fills when its Seed or Scale
+// is zero.
+const (
+	defaultSeed  = 42
+	defaultScale = 0.05
+)
 
 // traceKey identifies one synthesised trace. Generation is deterministic
 // per key, so the result can be cached and shared read-only.
@@ -73,13 +79,13 @@ type traceKey struct {
 	scale float64
 }
 
-// traceCache memoises trace synthesis across RunMatrix calls. Sweeps
-// (sensitivity, replicate, benchmark loops) call RunMatrix many times with
-// the same (name, seed, scale) tuples; traces are immutable once built, so
-// regenerating them per call is pure waste. The cache is LRU-bounded: a
-// full-scale trace holds millions of records, and a long multi-scale or
-// multi-seed sweep would otherwise accumulate every variant it ever
-// replayed.
+// traceCache memoises trace synthesis across RunMatrixContext calls.
+// Sweeps (sensitivity, replicate, benchmark loops) call RunMatrixContext
+// many times with the same (name, seed, scale) tuples; traces are
+// immutable once built, so regenerating them per call is pure waste. The
+// cache is LRU-bounded: a full-scale trace holds millions of records, and
+// a long multi-scale or multi-seed sweep would otherwise accumulate every
+// variant it ever replayed.
 var (
 	traceCacheMu    sync.Mutex
 	traceCacheMap   = map[traceKey]*traceCacheEntry{}
@@ -156,17 +162,12 @@ func cachedTrace(name string, seed int64, scale float64) (*trace.Trace, error) {
 	return tr, nil
 }
 
-// RunMatrix executes every (trace, scheme, P/E) combination of the spec.
-// It is RunMatrixContext under context.Background().
-func RunMatrix(spec MatrixSpec) ([]*Result, error) {
-	return RunMatrixContext(context.Background(), spec)
-}
-
 // RunMatrixContext executes every (trace, scheme, P/E) combination of the
-// spec on a fixed pool of spec.Workers goroutines. Each trace is
-// synthesised at most once per (name, seed, scale) — cached across calls —
-// and shared read-only by the scheme runs. Results come back sorted by
-// (trace order, P/E, scheme order), independent of scheduling.
+// spec on a fixed pool of spec.Workers goroutines, each cell through
+// RunCellContext. Each trace is synthesised at most once per (name,
+// seed, scale) — cached across calls — and shared read-only by the
+// scheme runs. Results come back sorted by (trace order, P/E, scheme
+// order), independent of scheduling.
 //
 // Cancelling ctx stops every in-flight run within 64 requests and
 // returns ctx's error; the partially replayed devices are still returned
@@ -176,114 +177,55 @@ func RunMatrix(spec MatrixSpec) ([]*Result, error) {
 func RunMatrixContext(ctx context.Context, spec MatrixSpec) ([]*Result, error) {
 	spec.normalize()
 
-	traces := make(map[string]*trace.Trace, len(spec.Traces))
+	// Warm the trace cache before the fan-out and total the sweep's
+	// requests: every trace replays once per (P/E, scheme).
+	var totalRequests int
 	for _, name := range spec.Traces {
 		tr, err := cachedTrace(name, spec.Seed, spec.Scale)
 		if err != nil {
 			return nil, err
 		}
-		traces[name] = tr
+		totalRequests += tr.Len() * len(spec.PEBaselines) * len(spec.Schemes)
 	}
+	progress := sweepProgress(spec.OnProgress, totalRequests)
 
-	// The job list is the spec's cell decomposition: the same enumeration a
+	// The cells are the spec's decomposition: the same enumeration a
 	// coordinator uses to shard the sweep, so per-cell results land at the
 	// same indices either way.
-	jobs := cellsOf(spec)
-	var totalRequests int64
-	for _, c := range jobs {
-		totalRequests += int64(traces[c.Trace].Len())
-	}
-
-	// Aggregated sweep progress: every run's per-interval deltas land in
-	// shared atomics, and each callback reports the sweep-wide totals.
-	var replayed, gcs atomic.Int64
-
-	results := make([]*Result, len(jobs))
-	errs := make([]error, len(jobs))
-	run := func(i int) {
-		j := jobs[i]
-		cfg := DefaultConfig()
-		if spec.Flash != nil {
-			cfg.Flash = *spec.Flash
-		}
-		if j.PE > 0 {
-			cfg.Flash.PEBaseline = j.PE
-		}
-		cfg.Scheme = j.Scheme
-		sim, err := New(cfg)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		if spec.OnProgress != nil {
-			var prevReplayed int
-			var prevGCs int64
-			sim.OnProgress(spec.ProgressEvery, func(p Progress) {
-				r := replayed.Add(int64(p.Replayed - prevReplayed))
-				g := gcs.Add(p.GCs - prevGCs)
-				prevReplayed, prevGCs = p.Replayed, p.GCs
-				spec.OnProgress(Progress{
-					Replayed: int(r),
-					Total:    int(totalRequests),
-					SimTime:  p.SimTime,
-					GCs:      g,
-				})
-			})
-		}
-		res, err := sim.RunContext(ctx, traces[j.Trace])
-		if err != nil {
-			// A cancelled run stopped between requests, so its device is
-			// structurally consistent and can rejoin the free pool; any
-			// other failure drops the device on the floor.
-			if errors.Is(err, ctx.Err()) && ctx.Err() != nil {
-				sim.Release()
-			}
-			errs[i] = err
-			return
-		}
-		// The Result holds only values, so the device can be recycled: the
-		// snapshot cache restores it in place for a later same-key job
-		// instead of cutting a fresh clone.
-		sim.Release()
-		res.PEBaseline = cfg.Flash.PEBaseline
-		results[i] = res
-	}
-
-	workers := spec.Workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				run(i)
-			}
-		}()
-	}
-dispatch:
-	for i := range jobs {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	cells := cellsOf(spec)
+	results := make([]*Result, len(cells))
+	err := ForEachCell(ctx, spec.Workers, len(cells), func(i int) error {
+		cellSpec := spec
+		cellSpec.OnProgress = progress()
+		var err error
+		results[i], err = RunCellContext(ctx, cellSpec, cells[i])
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	return results, nil
+}
+
+// sweepProgress folds the Progress of concurrently replayed cells into
+// sweep-wide snapshots for report: each call of the returned function
+// yields one cell's ProgressFunc, whose per-interval deltas land in
+// shared atomics so every callback reports the sweep's combined
+// Replayed and GCs against total. SimTime is the reporting cell's device
+// clock. With a nil report every cell's ProgressFunc is nil.
+func sweepProgress(report ProgressFunc, total int) func() ProgressFunc {
+	var replayed, gcs atomic.Int64
+	return func() ProgressFunc {
+		if report == nil {
+			return nil
+		}
+		var prevReplayed int
+		var prevGCs int64
+		return func(p Progress) {
+			r := replayed.Add(int64(p.Replayed - prevReplayed))
+			g := gcs.Add(p.GCs - prevGCs)
+			prevReplayed, prevGCs = p.Replayed, p.GCs
+			report(Progress{Replayed: int(r), Total: total, SimTime: p.SimTime, GCs: g})
 		}
 	}
-
-	// jobs were generated in deterministic (trace, P/E, scheme) order and
-	// results are indexed by job, so the slice is already deterministic.
-	return results, nil
 }

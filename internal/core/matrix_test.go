@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -83,7 +84,7 @@ func TestRunMatrixWorkerEdges(t *testing.T) {
 	}
 	var ref []*Result
 	for _, workers := range []int{16, 1, 0} {
-		res, err := RunMatrix(spec(workers))
+		res, err := RunMatrixContext(context.Background(), spec(workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -102,7 +103,7 @@ func TestRunMatrixWorkerEdges(t *testing.T) {
 	}
 }
 
-// TestTraceCacheReuse checks RunMatrix returns the identical trace object
+// TestTraceCacheReuse checks RunMatrixContext returns the identical trace object
 // across calls with the same (name, seed, scale) — the memoisation sweeps
 // and benchmark loops rely on.
 func TestTraceCacheReuse(t *testing.T) {

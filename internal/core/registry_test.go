@@ -101,6 +101,44 @@ func TestRegisterSchemePlugsIntoNew(t *testing.T) {
 	}
 }
 
+// TestAliasedSchemeMappingBytes registers Baseline and MGA under other
+// names, as a decorating benchmark does, and asserts each alias is sized
+// with its scheme's mapping-table formula, not the default IPU one.
+func TestAliasedSchemeMappingBytes(t *testing.T) {
+	tr, err := trace.Generate(trace.Profiles["ts0"], 3, 0.002)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(name string) *Result {
+		t.Helper()
+		cfg := DefaultConfig()
+		cfg.Flash = snapshotFlash()
+		cfg.Scheme = name
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sim.Release()
+		res, err := sim.Run(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, plain := range []string{"Baseline", "MGA"} {
+		build, _ := lookupScheme(plain)
+		alias := plain + "-alias-test"
+		if _, ok := lookupScheme(alias); !ok { // -count > 1 reruns
+			RegisterScheme(alias, build)
+		}
+		want, got := run(plain), run(alias)
+		if got.MappingBytes != want.MappingBytes || got.MappingNormalized != want.MappingNormalized {
+			t.Errorf("%s: mapping %d B (%.4f), want %s's %d B (%.4f)", alias,
+				got.MappingBytes, got.MappingNormalized, plain, want.MappingBytes, want.MappingNormalized)
+		}
+	}
+}
+
 // TestRegisterSchemeConflicts asserts registration misuse panics.
 func TestRegisterSchemeConflicts(t *testing.T) {
 	mustPanic := func(name string, fn func()) {

@@ -9,8 +9,8 @@ import (
 	"ipusim/internal/metrics"
 )
 
-// SensitivityParams lists the device parameters RunSensitivity can sweep,
-// with the default sweep values for each.
+// SensitivityParams lists the device parameters RunSensitivityContext
+// can sweep, with the default sweep values for each.
 var SensitivityParams = map[string][]float64{
 	// slcratio sweeps the SLC-mode cache fraction around Table 2's 5%.
 	"slcratio": {0.025, 0.05, 0.10},
@@ -106,12 +106,6 @@ func SensitivityTable(param string, values []float64, perPoint [][]*Result) *met
 		}
 	}
 	return t
-}
-
-// RunSensitivity sweeps one device parameter across its values. It is
-// RunSensitivityContext under context.Background().
-func RunSensitivity(param string, spec MatrixSpec) (*metrics.Table, error) {
-	return RunSensitivityContext(context.Background(), param, spec)
 }
 
 // RunSensitivityContext sweeps one device parameter across its values,

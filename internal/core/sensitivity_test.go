@@ -1,12 +1,13 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestRunSensitivityUnknownParam(t *testing.T) {
-	if _, err := RunSensitivity("voltage", MatrixSpec{}); err != nil {
+	if _, err := RunSensitivityContext(context.Background(), "voltage", MatrixSpec{}); err != nil {
 		if !strings.Contains(err.Error(), "unknown sensitivity parameter") {
 			t.Errorf("unexpected error: %v", err)
 		}
@@ -17,7 +18,7 @@ func TestRunSensitivityUnknownParam(t *testing.T) {
 
 func TestRunSensitivitySLCRatio(t *testing.T) {
 	fc := smallFlash()
-	tab, err := RunSensitivity("slcratio", MatrixSpec{
+	tab, err := RunSensitivityContext(context.Background(), "slcratio", MatrixSpec{
 		Traces: []string{"ads"},
 		Scale:  0.002,
 		Flash:  &fc,
@@ -65,7 +66,7 @@ func TestSensitivityCachePressureShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunMatrix(MatrixSpec{
+		res, err := RunMatrixContext(context.Background(), MatrixSpec{
 			Traces: []string{"ts0"}, Schemes: []string{"Baseline"},
 			Scale: 0.01, Flash: &fc,
 		})

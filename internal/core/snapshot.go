@@ -51,8 +51,9 @@ const snapshotFreeCap = 4
 // snapshotCacheCap bounds the number of resident templates. A template at
 // the default geometry holds the whole flash array (~18 MB), and
 // sensitivity sweeps create one key per config variation, so the cache
-// evicts least-recently-used templates beyond the cap. The default keeps a
-// full P/E sweep (4 baselines x 3 schemes) resident with headroom.
+// evicts least-recently-used templates beyond the cap. The key includes
+// PEBaseline, so a default P/E sweep (4 baselines x 5 schemes = 20 keys)
+// does not fit: it cycles through the LRU and rebuilds templates.
 var snapshotCacheCap = 16
 
 var (

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ipusim/internal/cache"
@@ -59,9 +57,10 @@ type TenantContentionSpec struct {
 	// CacheBytes sizes the DRAM write buffer of the buffered arm
 	// (default 4 MiB). Every mix runs twice: buffer off, then on.
 	CacheBytes int64
-	Seed       int64
-	Scale      float64
-	Flash      *flash.Config
+	// Seed and Scale drive tenant trace synthesis (default 42 and 0.05).
+	Seed  int64
+	Scale float64
+	Flash *flash.Config
 	// Workers bounds concurrently running cells; 0 means GOMAXPROCS.
 	// Rows are deterministic regardless: cells are enumerated and indexed
 	// up front, so scheduling never reorders them.
@@ -87,6 +86,12 @@ func (spec *TenantContentionSpec) normalize() {
 	}
 	if spec.CacheBytes <= 0 {
 		spec.CacheBytes = 4 << 20
+	}
+	if spec.Seed == 0 {
+		spec.Seed = defaultSeed
+	}
+	if spec.Scale == 0 {
+		spec.Scale = defaultScale
 	}
 	if spec.Workers <= 0 {
 		spec.Workers = runtime.GOMAXPROCS(0)
@@ -188,16 +193,9 @@ func RunContentionCellContext(ctx context.Context, spec TenantContentionSpec, ce
 
 // contentionMixRequests synthesises (and caches) a mix's tenant traces
 // and returns the request count of its merged schedule — the per-cell
-// progress total.
+// progress total. The spec must be normalized.
 func contentionMixRequests(spec *TenantContentionSpec, mix TenantMix) (int, error) {
-	seed, scale := spec.Seed, spec.Scale
-	if seed == 0 {
-		seed = 42
-	}
-	if scale == 0 {
-		scale = 0.05
-	}
-	specs := workload.NormalizeTenants(mix.Tenants, DefaultTenantTrace, seed, scale)
+	specs := workload.NormalizeTenants(mix.Tenants, DefaultTenantTrace, spec.Seed, spec.Scale)
 	if err := workload.ValidateTenants(specs); err != nil {
 		return 0, err
 	}
@@ -233,74 +231,26 @@ func RunTenantContentionContext(ctx context.Context, spec TenantContentionSpec) 
 	// Warm the trace cache before the fan-out and total the study's
 	// requests for aggregated progress (each mix runs 2*len(Schemes)
 	// cells: one per scheme and buffer arm).
-	var totalRequests int64
+	var totalRequests int
 	for _, mix := range spec.Mixes {
 		n, err := contentionMixRequests(&spec, mix)
 		if err != nil {
 			return nil, err
 		}
-		totalRequests += int64(n) * int64(2*len(spec.Schemes))
+		totalRequests += n * 2 * len(spec.Schemes)
 	}
-
-	// Aggregated study progress, as in RunMatrixContext: every cell's
-	// per-interval deltas land in shared atomics and each callback
-	// reports the study-wide totals.
-	var replayed, gcs atomic.Int64
+	progress := sweepProgress(spec.OnProgress, totalRequests)
 
 	rows := make([]ContentionRow, len(cells))
-	errs := make([]error, len(cells))
-	run := func(i int) {
+	err = ForEachCell(ctx, spec.Workers, len(cells), func(i int) error {
 		cellSpec := spec
-		if spec.OnProgress != nil {
-			var prevReplayed int
-			var prevGCs int64
-			cellSpec.OnProgress = func(p Progress) {
-				r := replayed.Add(int64(p.Replayed - prevReplayed))
-				g := gcs.Add(p.GCs - prevGCs)
-				prevReplayed, prevGCs = p.Replayed, p.GCs
-				spec.OnProgress(Progress{
-					Replayed: int(r),
-					Total:    int(totalRequests),
-					SimTime:  p.SimTime,
-					GCs:      g,
-				})
-			}
-		}
-		rows[i], errs[i] = RunContentionCellContext(ctx, cellSpec, cells[i])
-	}
-
-	workers := spec.Workers
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				run(i)
-			}
-		}()
-	}
-dispatch:
-	for i := range cells {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+		cellSpec.OnProgress = progress()
+		var err error
+		rows[i], err = RunContentionCellContext(ctx, cellSpec, cells[i])
+		return err
+	})
+	if err != nil {
 		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return rows, nil
 }

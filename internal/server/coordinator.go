@@ -156,56 +156,24 @@ func (c *coordinator) runContention(ctx context.Context, req JobRequest, report 
 	if err != nil {
 		return nil, err
 	}
-	var done atomic.Int64
+	onDone := cellsDone(report, len(cells))
 	rows := make([]core.ContentionRow, len(cells))
-	errs := make([]error, len(cells))
-	workers := runtime.GOMAXPROCS(0)
-	c.mu.Lock()
-	if n := 2 * c.ring.size(); n > workers {
-		workers = n
-	}
-	c.mu.Unlock()
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				rows[i], errs[i] = c.runContentionCell(ctx, spec, cells[i])
-				if errs[i] == nil && report != nil {
-					report(core.Progress{Replayed: int(done.Add(1)), Total: len(cells)})
-				}
-			}
-		}()
-	}
-dispatch:
-	for i := range cells {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break dispatch
+	err = core.ForEachCell(ctx, c.workers(), len(cells), func(i int) error {
+		var err error
+		rows[i], err = c.runContentionCell(ctx, spec, cells[i])
+		if err == nil {
+			onDone()
 		}
-	}
-	close(next)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+		return err
+	})
+	if err != nil {
 		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return rows, nil
 }
 
-// runContentionCell executes one contention cell: place its "run"
-// sub-job on the ring, retry once on the post-failure owner, then fall
-// back to in-process execution.
+// runContentionCell executes one contention cell as a "run" sub-job
+// through place.
 func (c *coordinator) runContentionCell(ctx context.Context, spec core.TenantContentionSpec, cell core.ContentionCell) (core.ContentionRow, error) {
 	sub := JobRequest{
 		Kind:       "run",
@@ -218,29 +186,14 @@ func (c *coordinator) runContentionCell(ctx context.Context, spec core.TenantCon
 	if cell.Buffered {
 		sub.WriteCache = &cache.Config{CapacityBytes: spec.CacheBytes}
 	}
-	// Placement hashes the sub-job's content address — the same key the
-	// worker's own result cache uses — so repeated studies hit warm caches.
-	key := jobKey(sub, spec.Scale)
-	for attempt := 0; attempt < 2; attempt++ {
-		node := c.pick(key)
-		if node == "" {
-			break
-		}
-		res, err := c.dispatch(ctx, node, sub)
-		if err == nil {
-			c.remoteCells.Add(1)
-			return core.ContentionRow{
-				Mix: cell.Mix.Name, Scheme: cell.Scheme, Buffered: cell.Buffered, Result: res,
-			}, nil
-		}
-		if ctx.Err() != nil {
-			return core.ContentionRow{}, ctx.Err()
-		}
-		c.markDead(node)
+	res, err := c.place(ctx, sub, spec.Scale, func() (*core.Result, error) {
+		row, err := core.RunContentionCellContext(ctx, spec, cell)
+		return row.Result, err
+	})
+	if err != nil {
+		return core.ContentionRow{}, err
 	}
-	// No worker could serve the cell: run it here so the study completes.
-	c.fallbackCells.Add(1)
-	return core.RunContentionCellContext(ctx, spec, cell)
+	return core.ContentionRow{Mix: cell.Mix.Name, Scheme: cell.Scheme, Buffered: cell.Buffered, Result: res}, nil
 }
 
 // runMatrix shards one matrix sweep and reassembles the results in cell
@@ -254,14 +207,7 @@ func (c *coordinator) runMatrix(ctx context.Context, req JobRequest, report core
 		Seed:        req.Seed,
 	}
 	cells := core.Cells(spec)
-	var done atomic.Int64
-	onDone := func() {
-		n := done.Add(1)
-		if report != nil {
-			report(core.Progress{Replayed: int(n), Total: len(cells)})
-		}
-	}
-	return c.runCells(ctx, spec, cells, "", 0, onDone)
+	return c.runCells(ctx, spec, cells, "", 0, cellsDone(report, len(cells)))
 }
 
 // runSensitivity shards one sensitivity sweep point by point and renders
@@ -286,13 +232,7 @@ func (c *coordinator) runSensitivity(ctx context.Context, req JobRequest, report
 		pointCells[i] = core.Cells(ps)
 		total += len(pointCells[i])
 	}
-	var done atomic.Int64
-	onDone := func() {
-		n := done.Add(1)
-		if report != nil {
-			report(core.Progress{Replayed: int(n), Total: total})
-		}
-	}
+	onDone := cellsDone(report, total)
 	perPoint := make([][]*core.Result, len(values))
 	for i := range values {
 		rs, err := c.runCells(ctx, pointSpecs[i], pointCells[i], req.Param, values[i], onDone)
@@ -304,59 +244,27 @@ func (c *coordinator) runSensitivity(ctx context.Context, req JobRequest, report
 	return core.SensitivityTable(req.Param, values, perPoint), nil
 }
 
-// runCells fans the cells out over a bounded worker pool, streaming each
+// runCells fans the cells out over the shared sweep pool, streaming each
 // completed row into its slot; onDone fires per completed cell.
 func (c *coordinator) runCells(ctx context.Context, spec core.MatrixSpec, cells []core.MatrixCell, param string, value float64, onDone func()) ([]*core.Result, error) {
 	results := make([]*core.Result, len(cells))
-	errs := make([]error, len(cells))
-	workers := runtime.GOMAXPROCS(0)
-	c.mu.Lock()
-	if n := 2 * c.ring.size(); n > workers {
-		workers = n
-	}
-	c.mu.Unlock()
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i], errs[i] = c.runCell(ctx, spec, cells[i], param, value)
-				if errs[i] == nil && onDone != nil {
-					onDone()
-				}
-			}
-		}()
-	}
-dispatch:
-	for i := range cells {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break dispatch
+	err := core.ForEachCell(ctx, c.workers(), len(cells), func(i int) error {
+		var err error
+		results[i], err = c.runCell(ctx, spec, cells[i], param, value)
+		if err == nil {
+			onDone()
 		}
-	}
-	close(next)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+		return err
+	})
+	if err != nil {
 		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return results, nil
 }
 
-// runCell executes one cell: place on the ring, retry once on the
-// post-failure owner, then fall back to in-process execution.
+// runCell executes one matrix cell as a "cell" sub-job through place.
 func (c *coordinator) runCell(ctx context.Context, spec core.MatrixSpec, cell core.MatrixCell, param string, value float64) (*core.Result, error) {
-	req := JobRequest{
+	sub := JobRequest{
 		Kind:       "cell",
 		Trace:      cell.Trace,
 		Scheme:     cell.Scheme,
@@ -366,15 +274,44 @@ func (c *coordinator) runCell(ctx context.Context, spec core.MatrixSpec, cell co
 		Param:      param,
 		ParamValue: value,
 	}
+	return c.place(ctx, sub, spec.Scale, func() (*core.Result, error) {
+		return core.RunCellContext(ctx, spec, cell)
+	})
+}
+
+// cellsDone returns the per-cell completion callback of a sharded sweep:
+// each call reports one more of total cells done to report, if set.
+func cellsDone(report core.ProgressFunc, total int) func() {
+	var done atomic.Int64
+	return func() {
+		n := done.Add(1)
+		if report != nil {
+			report(core.Progress{Replayed: int(n), Total: total})
+		}
+	}
+}
+
+// workers sizes a sharded sweep's pool: GOMAXPROCS, or two in-flight
+// cells per live worker when that is more.
+func (c *coordinator) workers() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return max(runtime.GOMAXPROCS(0), 2*c.ring.size())
+}
+
+// place runs one sub-job: on the ring owner of its key, then once more on
+// the post-failure owner, then in-process through local, so a sweep
+// completes even with the whole fleet down.
+func (c *coordinator) place(ctx context.Context, sub JobRequest, scale float64, local func() (*core.Result, error)) (*core.Result, error) {
 	// Placement hashes the sub-job's content address — the same key the
 	// worker's own result cache uses — so repeated sweeps hit warm caches.
-	key := jobKey(req, spec.Scale)
+	key := jobKey(sub, scale)
 	for attempt := 0; attempt < 2; attempt++ {
 		node := c.pick(key)
 		if node == "" {
 			break
 		}
-		res, err := c.dispatch(ctx, node, req)
+		res, err := c.dispatch(ctx, node, sub)
 		if err == nil {
 			c.remoteCells.Add(1)
 			return res, nil
@@ -384,9 +321,8 @@ func (c *coordinator) runCell(ctx context.Context, spec core.MatrixSpec, cell co
 		}
 		c.markDead(node)
 	}
-	// No worker could serve the cell: run it here so the sweep completes.
 	c.fallbackCells.Add(1)
-	return core.RunCellContext(ctx, spec, cell)
+	return local()
 }
 
 // dispatch submits a cell sub-job to one worker and polls its result.
