@@ -34,9 +34,10 @@ serve-test:
 
 # The cluster acceptance gate: the result-cache hit path (byte-identical,
 # sim never re-runs), durable-store restart recovery, the consistent-hash
-# ring units, and the coordinator soak — sweeps sharded over two
-# in-process workers with one killed mid-sweep, aggregated rows compared
-# bit-for-bit to a single daemon — all under the race detector.
+# ring units, the coordinator soak — sweeps sharded over two in-process
+# workers with one killed mid-sweep, aggregated rows compared bit-for-bit
+# to a single daemon — and the check that a coordinator rejects every
+# body a single daemon rejects, all under the race detector.
 serve-cluster-test:
 	$(GO) test -race -count 1 \
 	  -run 'TestCacheHit|TestCanonicalKey|TestJobKey|TestRestartRecovery|TestCoordinator|TestRing|TestStore' \

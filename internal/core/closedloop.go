@@ -52,10 +52,10 @@ const DefaultTenantTrace = "ts0"
 // normalize fills the spec's run-level defaults.
 func (spec *ClosedLoopSpec) normalize() {
 	if spec.Seed == 0 {
-		spec.Seed = defaultSeed
+		spec.Seed = DefaultSeed
 	}
 	if spec.Scale == 0 {
-		spec.Scale = defaultScale
+		spec.Scale = DefaultScale
 	}
 }
 

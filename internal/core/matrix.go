@@ -54,10 +54,10 @@ func (m *MatrixSpec) normalize() {
 		m.PEBaselines = []int{0} // sentinel: use config default
 	}
 	if m.Scale == 0 {
-		m.Scale = defaultScale
+		m.Scale = DefaultScale
 	}
 	if m.Seed == 0 {
-		m.Seed = defaultSeed
+		m.Seed = DefaultSeed
 	}
 	if m.Workers <= 0 {
 		m.Workers = runtime.GOMAXPROCS(0)
@@ -67,8 +67,8 @@ func (m *MatrixSpec) normalize() {
 // The trace-synthesis defaults every spec fills when its Seed or Scale
 // is zero.
 const (
-	defaultSeed  = 42
-	defaultScale = 0.05
+	DefaultSeed  = 42
+	DefaultScale = 0.05
 )
 
 // traceKey identifies one synthesised trace. Generation is deterministic

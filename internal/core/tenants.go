@@ -43,6 +43,14 @@ func DefaultTenantMixes() []TenantMix {
 	}
 }
 
+// The contention study's defaults for a zero Depth or CacheBytes: the
+// shared closed-loop queue depth and the buffered arm's write-cache
+// capacity.
+const (
+	DefaultContentionDepth      = 16
+	DefaultContentionCacheBytes = 4 << 20
+)
+
 // TenantContentionSpec parameterises the contention study. Zero values
 // take the evaluation defaults.
 type TenantContentionSpec struct {
@@ -82,16 +90,16 @@ func (spec *TenantContentionSpec) normalize() {
 		spec.Schemes = append([]string(nil), SchemeNames...)
 	}
 	if spec.Depth <= 0 {
-		spec.Depth = 16
+		spec.Depth = DefaultContentionDepth
 	}
 	if spec.CacheBytes <= 0 {
-		spec.CacheBytes = 4 << 20
+		spec.CacheBytes = DefaultContentionCacheBytes
 	}
 	if spec.Seed == 0 {
-		spec.Seed = defaultSeed
+		spec.Seed = DefaultSeed
 	}
 	if spec.Scale == 0 {
-		spec.Scale = defaultScale
+		spec.Scale = DefaultScale
 	}
 	if spec.Workers <= 0 {
 		spec.Workers = runtime.GOMAXPROCS(0)

@@ -20,8 +20,10 @@ import (
 // cache.
 
 // canonicalRequest returns req in canonical form: defaults applied
-// exactly as compile/core normalisation would, fields irrelevant to the
-// requested kind zeroed, and lifecycle-only fields (Timeout) cleared.
+// exactly as core normalisation would, fields irrelevant to the requested
+// kind zeroed, and lifecycle-only fields (Timeout) cleared. It is the
+// only place request defaults are filled: validation and every runner,
+// local or sharded, see its output.
 func canonicalRequest(req JobRequest, defaultScale float64) JobRequest {
 	req.Timeout = ""
 	// Parallelism is accepted and ignored, so it never splits an address.
@@ -30,7 +32,7 @@ func canonicalRequest(req JobRequest, defaultScale float64) JobRequest {
 		req.Scale = defaultScale
 	}
 	if req.Seed == 0 {
-		req.Seed = 42
+		req.Seed = core.DefaultSeed
 	}
 	switch req.Kind {
 	case "run":
@@ -38,10 +40,10 @@ func canonicalRequest(req JobRequest, defaultScale float64) JobRequest {
 			req.Scheme = "IPU"
 		}
 		// Schema v3: tenants and the write cache are canonicalised with
-		// every default made explicit — exactly mirroring compileRun and
-		// the core engine — so spelled-out and defaulted submissions share
-		// an address. A v2 request leaves both fields absent, marshals
-		// without them (omitempty), and keeps its v2 key byte for byte.
+		// every default made explicit — exactly mirroring the core engine —
+		// so spelled-out and defaulted submissions share an address. A v2
+		// request leaves both fields absent, marshals without them
+		// (omitempty), and keeps its v2 key byte for byte.
 		if len(req.Tenants) > 0 {
 			// A multi-tenant run never replays the single-stream trace;
 			// zeroing it keeps `{"tenants":[...]}` and a stray
@@ -119,10 +121,10 @@ func canonicalRequest(req JobRequest, defaultScale float64) JobRequest {
 			req.Schemes = append([]string(nil), core.SchemeNames...)
 		}
 		if req.QueueDepth == 0 {
-			req.QueueDepth = 16
+			req.QueueDepth = core.DefaultContentionDepth
 		}
 		if req.CacheBytes == 0 {
-			req.CacheBytes = 4 << 20
+			req.CacheBytes = core.DefaultContentionCacheBytes
 		}
 		mixes := make([]core.TenantMix, len(req.Mixes))
 		for i, mix := range req.Mixes {

@@ -72,8 +72,8 @@ func containsField(b []byte, field string) bool {
 }
 
 // TestV3TenantCanonicalisation checks the v3 fields canonicalise the way
-// compileRun and the core engine normalise them: defaults spelled out,
-// equivalent submissions sharing one address, distinct ones split.
+// the core engine normalises them: defaults spelled out, equivalent
+// submissions sharing one address, distinct ones split.
 func TestV3TenantCanonicalisation(t *testing.T) {
 	implicit := jobKey(JobRequest{
 		Kind: "run", QueueDepth: 16,

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -427,5 +428,89 @@ func TestCoordinatorFallbackAllWorkersDown(t *testing.T) {
 	_, want := runToResult(t, tsr, body, 60*time.Second)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("fallback result differs from single daemon:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestCoordinatorRejectsWhatLocalRejects posts every body the validation
+// tables reject to a plain daemon and to a coordinator with two live
+// workers. Both must answer 400, and no rejected body may reach the
+// fleet: both workers stay alive, with no cell placed remotely or run
+// in-process.
+func TestCoordinatorRejectsWhatLocalRejects(t *testing.T) {
+	pool := Options{Workers: 1, DefaultScale: 0.01}
+	_, plain := newTestService(t, pool)
+	_, w1 := newTestService(t, pool)
+	_, w2 := newTestService(t, pool)
+	copts := pool
+	copts.WorkerURLs = []string{w1.URL, w2.URL}
+	_, coord := newTestService(t, copts)
+
+	bodies := append([]string(nil), contentionValidationBodies...)
+	for _, table := range []map[string]string{submitValidationBodies, v3ValidationBodies} {
+		for _, body := range table {
+			bodies = append(bodies, body)
+		}
+	}
+	for _, body := range bodies {
+		for name, ts := range map[string]*httptest.Server{"daemon": plain, "coordinator": coord} {
+			if resp, _ := postJob(t, ts, body); resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s: %s: HTTP %d, want 400", name, body, resp.StatusCode)
+			}
+		}
+	}
+
+	var view ClusterView
+	if code := getJSON(t, coord, "/v1/cluster", &view); code != http.StatusOK {
+		t.Fatalf("cluster view: HTTP %d", code)
+	}
+	if !view.Alive[w1.URL] || !view.Alive[w2.URL] || view.RemoteCells != 0 || view.FallbackCells != 0 {
+		t.Fatalf("cluster view = %+v, want both workers alive and no cells run", view)
+	}
+}
+
+// TestRunJobMatchesCellJob asserts an open-loop run job and the cell job
+// with the same trace, scheme, P/E, seed and scale return byte-identical
+// results: an open-loop run is a matrix cell without a sensitivity point.
+func TestRunJobMatchesCellJob(t *testing.T) {
+	_, ts := newTestService(t, Options{Workers: 1, DefaultScale: 0.01})
+	const params = `"trace":"wdev0","scheme":"IPU-AC","peBaseline":4000,"seed":7,"scale":0.01}`
+	_, run := runToResult(t, ts, `{"kind":"run",`+params, 60*time.Second)
+	_, cell := runToResult(t, ts, `{"kind":"cell",`+params, 60*time.Second)
+	if !bytes.Equal(run, cell) {
+		t.Fatalf("run result differs from cell result:\n%s\nvs\n%s", run, cell)
+	}
+}
+
+// TestRestartRecoveryBadTimeout recovers an interrupted job whose timeout
+// no longer parses: like any request that no longer compiles, it comes
+// back failed instead of running under a default timeout.
+func TestRestartRecoveryBadTimeout(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := JobRequest{Kind: "run", Scale: 0.01, Timeout: "yesterday"}
+	rec := jobRecord{ID: "job-000001", Key: jobKey(req, 0.01), Kind: req.Kind, Request: req, State: StateQueued, Submitted: time.Now()}
+	if err := store.PutJob(rec); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := Open(Options{Workers: 1, DataDir: dir, DefaultScale: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Shutdown(context.Background())
+	j, ok := svc.Job(rec.ID)
+	if !ok {
+		t.Fatalf("recovered job %s missing", rec.ID)
+	}
+	svc.mu.Lock()
+	state, msg := j.State, j.Error
+	svc.mu.Unlock()
+	if state != StateFailed || !strings.Contains(msg, "bad timeout") {
+		t.Fatalf("recovered job: state %s error %q, want failed on its timeout", state, msg)
+	}
+	if st := svc.Stats(); st.Executed != 0 {
+		t.Fatalf("recovered job with a bad timeout ran (%d executed)", st.Executed)
 	}
 }

@@ -148,20 +148,23 @@ func TestV4ContentionCanonicalisation(t *testing.T) {
 	}
 }
 
+// contentionValidationBodies are malformed studies and v4 fields on
+// other kinds.
+var contentionValidationBodies = []string{
+	`{"kind":"run","mixes":[{"name":"m","tenants":[{"trace":"ts0"}]}]}`,
+	`{"kind":"run","cacheBytes":1024}`,
+	`{"kind":"contention","mixes":[{"name":"empty","tenants":[]}]}`,
+	`{"kind":"contention","schemes":["NoSuchScheme"]}`,
+	`{"kind":"contention","mixes":[{"name":"m","tenants":[{"trace":"nope"}]}]}`,
+	`{"kind":"contention","queueDepth":-1}`,
+	`{"kind":"contention","cacheBytes":-1}`,
+}
+
 // TestContentionValidation rejects malformed studies and v4 fields on
 // other kinds.
 func TestContentionValidation(t *testing.T) {
 	_, ts := newTestService(t, Options{Workers: 1, DefaultScale: 0.01})
-	bad := []string{
-		`{"kind":"run","mixes":[{"name":"m","tenants":[{"trace":"ts0"}]}]}`,
-		`{"kind":"run","cacheBytes":1024}`,
-		`{"kind":"contention","mixes":[{"name":"empty","tenants":[]}]}`,
-		`{"kind":"contention","schemes":["NoSuchScheme"]}`,
-		`{"kind":"contention","mixes":[{"name":"m","tenants":[{"trace":"nope"}]}]}`,
-		`{"kind":"contention","queueDepth":-1}`,
-		`{"kind":"contention","cacheBytes":-1}`,
-	}
-	for _, body := range bad {
+	for _, body := range contentionValidationBodies {
 		if resp, _ := postJob(t, ts, body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400", body, resp.StatusCode)
 		}

@@ -99,40 +99,19 @@ func (c *coordinator) view() ClusterView {
 	}
 }
 
-// compile builds the sharded jobFunc for a matrix or sensitivity
-// request. Validation matches the local compile path, and the request is
-// canonicalised first so the sub-jobs carry fully explicit parameters.
-func (c *coordinator) compile(req JobRequest, defaultScale float64) (jobFunc, error) {
-	req = canonicalRequest(req, defaultScale)
-	if req.Scale <= 0 || req.Scale > 1 {
-		return nil, fmt.Errorf("scale %v out of (0, 1]", req.Scale)
-	}
-	if err := validateSchemes(req.Schemes); err != nil {
-		return nil, err
-	}
-	if err := validateTraces(req.Traces); err != nil {
-		return nil, err
-	}
-	switch req.Kind {
-	case "matrix":
-		return func(ctx context.Context, report core.ProgressFunc) (any, error) {
+// job returns the sharded runner of a validated canonical matrix,
+// sensitivity or contention request; the sub-jobs inherit its explicit
+// parameters.
+func (c *coordinator) job(req JobRequest) jobFunc {
+	return func(ctx context.Context, report core.ProgressFunc) (any, error) {
+		switch req.Kind {
+		case "matrix":
 			return c.runMatrix(ctx, req, report)
-		}, nil
-	case "sensitivity":
-		if _, ok := core.SensitivityParams[req.Param]; !ok {
-			return nil, fmt.Errorf("unknown sensitivity param %q", req.Param)
-		}
-		return func(ctx context.Context, report core.ProgressFunc) (any, error) {
+		case "sensitivity":
 			return c.runSensitivity(ctx, req, report)
-		}, nil
-	case "contention":
-		if err := validateMixes(req.Mixes, req.Seed, req.Scale); err != nil {
-			return nil, err
-		}
-		return func(ctx context.Context, report core.ProgressFunc) (any, error) {
+		case "contention":
 			return c.runContention(ctx, req, report)
-		}, nil
-	default:
+		}
 		return nil, fmt.Errorf("kind %q is not shardable", req.Kind)
 	}
 }
@@ -144,14 +123,7 @@ func (c *coordinator) compile(req JobRequest, defaultScale float64) (jobFunc, er
 // worker-side upgrade. Rows reassemble in the study's deterministic
 // enumeration order, bit-identical to core.RunTenantContentionContext.
 func (c *coordinator) runContention(ctx context.Context, req JobRequest, report core.ProgressFunc) (any, error) {
-	spec := core.TenantContentionSpec{
-		Mixes:      req.Mixes,
-		Schemes:    req.Schemes,
-		Depth:      req.QueueDepth,
-		CacheBytes: req.CacheBytes,
-		Seed:       req.Seed,
-		Scale:      req.Scale,
-	}
+	spec := contentionSpec(req, nil)
 	cells, err := core.ContentionCells(spec)
 	if err != nil {
 		return nil, err
@@ -199,13 +171,7 @@ func (c *coordinator) runContentionCell(ctx context.Context, spec core.TenantCon
 // runMatrix shards one matrix sweep and reassembles the results in cell
 // order — the exact slice core.RunMatrixContext would return.
 func (c *coordinator) runMatrix(ctx context.Context, req JobRequest, report core.ProgressFunc) (any, error) {
-	spec := core.MatrixSpec{
-		Traces:      req.Traces,
-		Schemes:     req.Schemes,
-		PEBaselines: req.PEBaselines,
-		Scale:       req.Scale,
-		Seed:        req.Seed,
-	}
+	spec := matrixSpec(req, nil)
 	cells := core.Cells(spec)
 	return c.runCells(ctx, spec, cells, "", 0, cellsDone(report, len(cells)))
 }
@@ -214,12 +180,7 @@ func (c *coordinator) runMatrix(ctx context.Context, req JobRequest, report core
 // the same table a single daemon produces.
 func (c *coordinator) runSensitivity(ctx context.Context, req JobRequest, report core.ProgressFunc) (any, error) {
 	values := core.SensitivityParams[req.Param]
-	base := core.MatrixSpec{
-		Traces:  req.Traces,
-		Schemes: req.Schemes,
-		Scale:   req.Scale,
-		Seed:    req.Seed,
-	}
+	base := matrixSpec(req, nil)
 	pointSpecs := make([]core.MatrixSpec, len(values))
 	pointCells := make([][]core.MatrixCell, len(values))
 	total := 0

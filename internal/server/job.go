@@ -3,11 +3,11 @@ package server
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"ipusim/internal/cache"
 	"ipusim/internal/core"
-	"ipusim/internal/flash"
 	"ipusim/internal/trace"
 	"ipusim/internal/workload"
 )
@@ -172,64 +172,108 @@ func (j *Job) viewLocked() JobView {
 	return v
 }
 
-// compile validates the request and builds its executable jobFunc.
-// Validation happens at submit time so a bad request fails with 400
-// instead of occupying a queue slot and failing later.
-func compile(req JobRequest, defaultScale float64) (jobFunc, error) {
-	if req.Scale == 0 {
-		req.Scale = defaultScale
-	}
-	if req.Scale <= 0 || req.Scale > 1 {
-		return nil, fmt.Errorf("scale %v out of (0, 1]", req.Scale)
-	}
-	if req.Seed == 0 {
-		req.Seed = 42
-	}
+// checkFields rejects what the raw request sets but its kind does not
+// take: fields of another kind, and combinations the kind forbids. It
+// runs before canonicalRequest, which drops such fields (and
+// Parallelism) instead of reporting them.
+func checkFields(req JobRequest) error {
 	if req.Parallelism < 0 {
-		return nil, fmt.Errorf("parallelism %d must be >= 0", req.Parallelism)
+		return fmt.Errorf("parallelism %d must be >= 0", req.Parallelism)
 	}
 	if req.Kind != "run" && (len(req.Tenants) > 0 || req.WriteCache != nil) {
-		return nil, fmt.Errorf("tenants and writeCache apply only to run jobs, not %q", req.Kind)
+		return fmt.Errorf("tenants and writeCache apply only to run jobs, not %q", req.Kind)
 	}
 	if req.Kind != "contention" && (len(req.Mixes) > 0 || req.CacheBytes != 0) {
-		return nil, fmt.Errorf("mixes and cacheBytes apply only to contention jobs, not %q", req.Kind)
+		return fmt.Errorf("mixes and cacheBytes apply only to contention jobs, not %q", req.Kind)
 	}
 	switch req.Kind {
 	case "run":
-		return compileRun(req)
-	case "cell":
-		return compileCell(req)
-	case "matrix":
-		return compileMatrix(req)
-	case "sensitivity":
-		return compileSensitivity(req)
-	case "contention":
-		return compileContention(req)
-	default:
-		return nil, fmt.Errorf("unknown kind %q (want run, cell, matrix, sensitivity or contention)", req.Kind)
-	}
-}
-
-// knownScheme reports whether name is in the scheme registry.
-func knownScheme(name string) bool {
-	for _, s := range core.Schemes() {
-		if s == name {
-			return true
+		if len(req.Tenants) > 0 && req.Trace != "" {
+			return fmt.Errorf("trace and tenants are mutually exclusive (per-tenant traces go in tenants[].trace)")
 		}
-	}
-	return false
-}
-
-func validateSchemes(names []string) error {
-	for _, s := range names {
-		if !knownScheme(s) {
-			return fmt.Errorf("unknown scheme %q (registered: %v)", s, core.Schemes())
+		// The v3 extensions ride on the closed-loop engine only: an
+		// open-loop replay has no issue gate for the buffer's
+		// backpressure or the tenants' QoS shares to act on.
+		if (len(req.Tenants) > 0 || req.WriteCache != nil) && req.QueueDepth <= 0 {
+			return fmt.Errorf("tenants and writeCache require a closed-loop run (queueDepth > 0)")
+		}
+	case "cell":
+		if req.QueueDepth != 0 {
+			return fmt.Errorf("cell jobs are open-loop (queueDepth %d not supported)", req.QueueDepth)
 		}
 	}
 	return nil
 }
 
-func validateTraces(names []string) error {
+// validate checks a canonical request. Its defaults are filled, so every
+// check sees exactly the parameters the job runs with, and the fields its
+// kind does not take are zero.
+func validate(c JobRequest) error {
+	schemes, traces := c.Schemes, c.Traces
+	switch c.Kind {
+	case "run", "cell":
+		schemes = []string{c.Scheme}
+		// A multi-tenant run names its traces per tenant.
+		if len(c.Tenants) == 0 {
+			traces = []string{c.Trace}
+		}
+		// Only a cell keeps Param: it fixes one sensitivity point.
+		if c.Param != "" {
+			if _, err := core.SensitivityCellConfig(c.Param, c.ParamValue); err != nil {
+				return err
+			}
+		}
+	case "sensitivity":
+		if _, ok := core.SensitivityParams[c.Param]; !ok {
+			params := make([]string, 0, len(core.SensitivityParams))
+			for p := range core.SensitivityParams {
+				params = append(params, p)
+			}
+			return fmt.Errorf("unknown sensitivity param %q (have %v)", c.Param, params)
+		}
+	case "matrix", "contention":
+	default:
+		return fmt.Errorf("unknown kind %q (want run, cell, matrix, sensitivity or contention)", c.Kind)
+	}
+	switch {
+	case c.Scale <= 0 || c.Scale > 1:
+		return fmt.Errorf("scale %v out of (0, 1]", c.Scale)
+	case c.QueueDepth < 0:
+		return fmt.Errorf("queueDepth %d must be >= 0", c.QueueDepth)
+	case c.CacheBytes < 0:
+		return fmt.Errorf("cacheBytes %d must be >= 0", c.CacheBytes)
+	}
+	for _, pe := range append([]int{c.PEBaseline}, c.PEBaselines...) {
+		if pe < 0 {
+			return fmt.Errorf("P/E baseline %d must be >= 0", pe)
+		}
+	}
+	for _, s := range schemes {
+		if !slices.Contains(core.Schemes(), s) {
+			return fmt.Errorf("unknown scheme %q (registered: %v)", s, core.Schemes())
+		}
+	}
+	if err := validateTraces(traces...); err != nil {
+		return err
+	}
+	if err := validateTenants(c.Tenants); err != nil {
+		return err
+	}
+	for _, mix := range c.Mixes {
+		if len(mix.Tenants) == 0 {
+			return fmt.Errorf("contention mix %q is empty", mix.Name)
+		}
+		if err := validateTenants(mix.Tenants); err != nil {
+			return err
+		}
+	}
+	if c.WriteCache != nil {
+		return c.WriteCache.Validate()
+	}
+	return nil
+}
+
+func validateTraces(names ...string) error {
 	for _, tr := range names {
 		if _, ok := trace.Profiles[tr]; !ok {
 			return fmt.Errorf("unknown trace %q (have %v)", tr, trace.ProfileNames())
@@ -238,85 +282,113 @@ func validateTraces(names []string) error {
 	return nil
 }
 
-func compileRun(req JobRequest) (jobFunc, error) {
-	if req.Scheme == "" {
-		req.Scheme = "IPU"
+// validateTenants checks normalised tenant specs and their traces.
+func validateTenants(tenants []workload.TenantSpec) error {
+	if err := workload.ValidateTenants(tenants); err != nil {
+		return err
 	}
-	multiTenant := len(req.Tenants) > 0
-	if multiTenant {
-		if req.Trace != "" {
-			return nil, fmt.Errorf("trace and tenants are mutually exclusive (per-tenant traces go in tenants[].trace)")
+	for _, t := range tenants {
+		if err := validateTraces(t.Trace); err != nil {
+			return err
 		}
-	} else if req.Trace == "" {
-		req.Trace = "ts0"
 	}
-	if err := validateSchemes([]string{req.Scheme}); err != nil {
-		return nil, err
+	return nil
+}
+
+// matrixSpec is the sweep spec of a canonical matrix, sensitivity, cell
+// or open-loop run request; report, if set, receives its progress.
+func matrixSpec(c JobRequest, report core.ProgressFunc) core.MatrixSpec {
+	return core.MatrixSpec{
+		Traces:      c.Traces,
+		Schemes:     c.Schemes,
+		PEBaselines: c.PEBaselines,
+		Scale:       c.Scale,
+		Seed:        c.Seed,
+		OnProgress:  report,
 	}
-	if req.QueueDepth < 0 {
-		return nil, fmt.Errorf("queueDepth %d must be >= 0", req.QueueDepth)
+}
+
+// contentionSpec is the study spec of a canonical contention request;
+// report, if set, receives its progress.
+func contentionSpec(c JobRequest, report core.ProgressFunc) core.TenantContentionSpec {
+	return core.TenantContentionSpec{
+		Mixes:      c.Mixes,
+		Schemes:    c.Schemes,
+		Depth:      c.QueueDepth,
+		CacheBytes: c.CacheBytes,
+		Seed:       c.Seed,
+		Scale:      c.Scale,
+		OnProgress: report,
 	}
-	// The v3 extensions ride on the closed-loop engine only: an open-loop
-	// replay has no issue gate for the buffer's backpressure or the
-	// tenants' QoS shares to act on.
-	if (multiTenant || req.WriteCache != nil) && req.QueueDepth <= 0 {
-		return nil, fmt.Errorf("tenants and writeCache require a closed-loop run (queueDepth > 0)")
-	}
-	if multiTenant {
-		tenants := workload.NormalizeTenants(req.Tenants, core.DefaultTenantTrace, req.Seed, req.Scale)
-		if err := workload.ValidateTenants(tenants); err != nil {
-			return nil, err
+}
+
+// localJob returns the in-process runner of a validated canonical request.
+func localJob(c JobRequest) jobFunc {
+	switch c.Kind {
+	case "matrix":
+		return func(ctx context.Context, report core.ProgressFunc) (any, error) {
+			return core.RunMatrixContext(ctx, matrixSpec(c, report))
 		}
-		for _, t := range tenants {
-			if err := validateTraces([]string{t.Trace}); err != nil {
+	case "sensitivity":
+		return func(ctx context.Context, report core.ProgressFunc) (any, error) {
+			return core.RunSensitivityContext(ctx, c.Param, matrixSpec(c, report))
+		}
+	case "contention":
+		return func(ctx context.Context, report core.ProgressFunc) (any, error) {
+			return core.RunTenantContentionContext(ctx, contentionSpec(c, report))
+		}
+	}
+	if c.QueueDepth > 0 {
+		return closedLoopJob(c)
+	}
+	// An open-loop run is a matrix cell without a sensitivity point, so
+	// run and cell jobs share the cell runner. A cell's result is
+	// bit-identical to the corresponding element of the full sweep; cells
+	// with a Param rebuild that sensitivity point's flash configuration.
+	return func(ctx context.Context, report core.ProgressFunc) (any, error) {
+		spec := matrixSpec(c, report)
+		if c.Param != "" {
+			fc, err := core.SensitivityCellConfig(c.Param, c.ParamValue)
+			if err != nil {
 				return nil, err
 			}
+			spec.Flash = &fc
 		}
-	} else if err := validateTraces([]string{req.Trace}); err != nil {
-		return nil, err
+		return core.RunCellContext(ctx, spec, core.MatrixCell{Trace: c.Trace, Scheme: c.Scheme, PE: c.PEBaseline})
 	}
-	if req.WriteCache != nil && req.WriteCache.CapacityBytes > 0 {
-		if err := req.WriteCache.Validate(); err != nil {
-			return nil, err
-		}
-	}
+}
+
+// closedLoopJob runs a closed-loop run job: one trace, or the request's
+// tenants, at its queue depth, optionally behind a write cache.
+func closedLoopJob(c JobRequest) jobFunc {
 	return func(ctx context.Context, report core.ProgressFunc) (any, error) {
+		spec := core.ClosedLoopSpec{
+			Depth:      c.QueueDepth,
+			Tenants:    c.Tenants,
+			WriteCache: c.WriteCache,
+			Seed:       c.Seed,
+			Scale:      c.Scale,
+		}
+		if len(c.Tenants) == 0 {
+			// The bounded trace cache shares one immutable instance
+			// across concurrent jobs replaying the same workload.
+			tr, err := core.SyntheticTrace(c.Trace, c.Seed, c.Scale)
+			if err != nil {
+				return nil, err
+			}
+			spec.Trace = tr
+		}
 		cfg := core.DefaultConfig()
-		cfg.Scheme = req.Scheme
-		if req.PEBaseline > 0 {
-			cfg.Flash.PEBaseline = req.PEBaseline
+		cfg.Scheme = c.Scheme
+		if c.PEBaseline > 0 {
+			cfg.Flash.PEBaseline = c.PEBaseline
 		}
 		sim, err := core.New(cfg)
 		if err != nil {
 			return nil, err
 		}
 		sim.OnProgress(0, report)
-		var res *core.Result
-		if req.QueueDepth > 0 {
-			spec := core.ClosedLoopSpec{
-				Depth:      req.QueueDepth,
-				Tenants:    req.Tenants,
-				WriteCache: req.WriteCache,
-				Seed:       req.Seed,
-				Scale:      req.Scale,
-			}
-			if !multiTenant {
-				// The bounded trace cache shares one immutable instance
-				// across concurrent jobs replaying the same workload.
-				spec.Trace, err = core.SyntheticTrace(req.Trace, req.Seed, req.Scale)
-				if err != nil {
-					return nil, err
-				}
-			}
-			res, err = sim.RunClosedLoopSpec(ctx, spec)
-		} else {
-			var tr *trace.Trace
-			tr, err = core.SyntheticTrace(req.Trace, req.Seed, req.Scale)
-			if err != nil {
-				return nil, err
-			}
-			res, err = sim.RunContext(ctx, tr)
-		}
+		res, err := sim.RunClosedLoopSpec(ctx, spec)
 		if err != nil {
 			// A cancelled replay stopped between requests, so the device
 			// is consistent and can rejoin the snapshot cache's free pool.
@@ -327,148 +399,5 @@ func compileRun(req JobRequest) (jobFunc, error) {
 		}
 		sim.Release()
 		return res, nil
-	}, nil
-}
-
-// compileCell builds one sweep cell: a single (trace, scheme, P/E) run,
-// optionally at a sensitivity point (param fixed at a value). Cells are
-// the sub-jobs a coordinator places on workers; their results are
-// bit-identical to the corresponding element of the full sweep.
-func compileCell(req JobRequest) (jobFunc, error) {
-	if req.Scheme == "" {
-		req.Scheme = "IPU"
 	}
-	if req.Trace == "" {
-		req.Trace = "ts0"
-	}
-	if err := validateSchemes([]string{req.Scheme}); err != nil {
-		return nil, err
-	}
-	if err := validateTraces([]string{req.Trace}); err != nil {
-		return nil, err
-	}
-	if req.QueueDepth != 0 {
-		return nil, fmt.Errorf("cell jobs are open-loop (queueDepth %d not supported)", req.QueueDepth)
-	}
-	if req.PEBaseline < 0 {
-		return nil, fmt.Errorf("peBaseline %d must be >= 0", req.PEBaseline)
-	}
-	var fc *flash.Config
-	if req.Param != "" {
-		// Reconstruct the sensitivity point's flash configuration from
-		// (param, value) — exactly what the coordinator's sweep point uses.
-		cfg, err := core.SensitivityCellConfig(req.Param, req.ParamValue)
-		if err != nil {
-			return nil, err
-		}
-		fc = &cfg
-	}
-	return func(ctx context.Context, report core.ProgressFunc) (any, error) {
-		spec := core.MatrixSpec{
-			Traces:     []string{req.Trace},
-			Schemes:    []string{req.Scheme},
-			Scale:      req.Scale,
-			Seed:       req.Seed,
-			Flash:      fc,
-			OnProgress: report,
-		}
-		cell := core.MatrixCell{Trace: req.Trace, Scheme: req.Scheme, PE: req.PEBaseline}
-		return core.RunCellContext(ctx, spec, cell)
-	}, nil
-}
-
-func compileMatrix(req JobRequest) (jobFunc, error) {
-	if err := validateSchemes(req.Schemes); err != nil {
-		return nil, err
-	}
-	if err := validateTraces(req.Traces); err != nil {
-		return nil, err
-	}
-	return func(ctx context.Context, report core.ProgressFunc) (any, error) {
-		spec := core.MatrixSpec{
-			Traces:      req.Traces,
-			Schemes:     req.Schemes,
-			PEBaselines: req.PEBaselines,
-			Scale:       req.Scale,
-			Seed:        req.Seed,
-			OnProgress:  report,
-		}
-		return core.RunMatrixContext(ctx, spec)
-	}, nil
-}
-
-// validateMixes checks every contention mix: non-empty, valid tenant
-// specs, known per-tenant traces.
-func validateMixes(mixes []core.TenantMix, seed int64, scale float64) error {
-	for _, mix := range mixes {
-		if len(mix.Tenants) == 0 {
-			return fmt.Errorf("contention mix %q is empty", mix.Name)
-		}
-		tenants := workload.NormalizeTenants(mix.Tenants, core.DefaultTenantTrace, seed, scale)
-		if err := workload.ValidateTenants(tenants); err != nil {
-			return err
-		}
-		for _, t := range tenants {
-			if err := validateTraces([]string{t.Trace}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// compileContention builds the multi-tenant contention study: every
-// (mix, buffer arm, scheme) cell replayed closed-loop, rows in the
-// study's deterministic enumeration order.
-func compileContention(req JobRequest) (jobFunc, error) {
-	if err := validateSchemes(req.Schemes); err != nil {
-		return nil, err
-	}
-	if err := validateMixes(req.Mixes, req.Seed, req.Scale); err != nil {
-		return nil, err
-	}
-	if req.QueueDepth < 0 {
-		return nil, fmt.Errorf("queueDepth %d must be >= 0", req.QueueDepth)
-	}
-	if req.CacheBytes < 0 {
-		return nil, fmt.Errorf("cacheBytes %d must be >= 0", req.CacheBytes)
-	}
-	return func(ctx context.Context, report core.ProgressFunc) (any, error) {
-		spec := core.TenantContentionSpec{
-			Mixes:      req.Mixes,
-			Schemes:    req.Schemes,
-			Depth:      req.QueueDepth,
-			CacheBytes: req.CacheBytes,
-			Seed:       req.Seed,
-			Scale:      req.Scale,
-			OnProgress: report,
-		}
-		return core.RunTenantContentionContext(ctx, spec)
-	}, nil
-}
-
-func compileSensitivity(req JobRequest) (jobFunc, error) {
-	if _, ok := core.SensitivityParams[req.Param]; !ok {
-		params := make([]string, 0, len(core.SensitivityParams))
-		for p := range core.SensitivityParams {
-			params = append(params, p)
-		}
-		return nil, fmt.Errorf("unknown sensitivity param %q (have %v)", req.Param, params)
-	}
-	if err := validateSchemes(req.Schemes); err != nil {
-		return nil, err
-	}
-	if err := validateTraces(req.Traces); err != nil {
-		return nil, err
-	}
-	return func(ctx context.Context, report core.ProgressFunc) (any, error) {
-		spec := core.MatrixSpec{
-			Traces:     req.Traces,
-			Schemes:    req.Schemes,
-			Scale:      req.Scale,
-			Seed:       req.Seed,
-			OnProgress: report,
-		}
-		return core.RunSensitivityContext(ctx, req.Param, spec)
-	}, nil
 }

@@ -1,8 +1,8 @@
 // Package server implements ipusimd's experiment service: a bounded job
 // queue and worker pool that execute simulation jobs (single runs, sweep
-// cells, matrices, sensitivity sweeps) on the context-aware core API,
-// with job lifecycle endpoints — submit, status, cancel, result — and a
-// live progress stream.
+// cells, matrices, sensitivity sweeps, contention studies) on the
+// context-aware core API, with job lifecycle endpoints — submit, status,
+// cancel, result — and a live progress stream.
 //
 // The service exploits the simulator's determinism guarantee — identical
 // (seed, scale, config) produce bit-identical output — three ways.
@@ -12,10 +12,12 @@
 // directory, the job table survives restarts: completed results are
 // served from disk and interrupted work is re-enqueued, re-running to
 // bit-identical output. And in coordinator mode the daemon shards
-// matrix/sensitivity sweeps into per-cell sub-jobs placed on worker
-// daemons by consistent hashing, aggregating streamed rows into the same
-// response a single daemon produces — with failed workers dropped from
-// the ring and their cells re-placed or run locally.
+// matrix, sensitivity and contention sweeps into per-cell sub-jobs placed
+// on worker daemons by consistent hashing, aggregating streamed rows into
+// the same response a single daemon produces — with failed workers
+// dropped from the ring and their cells re-placed or run locally. A
+// coordinator accepts exactly what a single daemon accepts: every job,
+// sharded or not, is checked and defaulted by the same path.
 //
 // Robustness is first-class: the queue applies backpressure (HTTP 429)
 // when full, every job runs under a per-job timeout with panic recovery,
@@ -62,8 +64,9 @@ type Options struct {
 	// reloads completed results and re-enqueues interrupted work.
 	DataDir string
 	// WorkerURLs, when non-empty, puts the server in coordinator mode:
-	// matrix and sensitivity jobs are sharded into per-cell sub-jobs
-	// placed on these worker daemons by consistent hashing.
+	// matrix, sensitivity and contention jobs are sharded into per-cell
+	// sub-jobs placed on these worker daemons by consistent hashing. A
+	// coordinator accepts exactly the requests a single daemon accepts.
 	WorkerURLs []string
 }
 
@@ -78,7 +81,7 @@ func (o *Options) normalize() {
 		o.JobTimeout = 10 * time.Minute
 	}
 	if o.DefaultScale <= 0 {
-		o.DefaultScale = 0.05
+		o.DefaultScale = core.DefaultScale
 	}
 	if o.MaxJobs <= 0 {
 		o.MaxJobs = 1024
@@ -256,10 +259,11 @@ func (s *Server) recoverLocked(rec jobRecord) {
 
 // requeueRecovered re-enqueues an interrupted job for a fresh run.
 func (s *Server) requeueRecovered(j *Job) {
-	run, err := s.compileFor(j.Request)
+	run, timeout, err := s.compileFor(j.Request)
 	if err != nil {
-		// The request no longer compiles (e.g. a scheme was unregistered):
-		// surface a terminal failure instead of refusing to start.
+		// The request no longer compiles (e.g. a scheme was unregistered,
+		// or its timeout no longer parses): surface a terminal failure
+		// instead of refusing to start.
 		j.State = StateFailed
 		j.Error = fmt.Sprintf("recovery: %v", err)
 		s.jobs[j.ID] = j
@@ -269,33 +273,48 @@ func (s *Server) requeueRecovered(j *Job) {
 	j.State = StateQueued
 	j.Error = ""
 	j.run = run
-	j.timeout = jobTimeout(j.Request, s.opts.JobTimeout)
+	j.timeout = timeout
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
 	s.queued++
 	s.queue <- j
 }
 
-// compileFor builds the executable jobFunc for a request: sweeps are
-// sharded by the coordinator when one is configured, everything else
-// compiles to a local run.
-func (s *Server) compileFor(req JobRequest) (jobFunc, error) {
-	if s.coord != nil && (req.Kind == "matrix" || req.Kind == "sensitivity" || req.Kind == "contention") {
-		return s.coord.compile(req, s.opts.DefaultScale)
+// compileFor is the one way into a job: submissions and recovered
+// records, single daemon and coordinator alike. It checks the raw
+// request's fields and timeout (canonicalisation drops them), validates
+// the canonical request, and picks its runner: the coordinator, when one
+// is configured, for matrix, sensitivity and contention, else in-process.
+// A bad request thus fails with 400 before it takes a queue slot.
+func (s *Server) compileFor(req JobRequest) (jobFunc, time.Duration, error) {
+	if err := checkFields(req); err != nil {
+		return nil, 0, err
 	}
-	return compile(req, s.opts.DefaultScale)
+	timeout, err := jobTimeout(req, s.opts.JobTimeout)
+	if err != nil {
+		return nil, 0, err
+	}
+	c := canonicalRequest(req, s.opts.DefaultScale)
+	if err := validate(c); err != nil {
+		return nil, 0, err
+	}
+	if s.coord != nil && (c.Kind == "matrix" || c.Kind == "sensitivity" || c.Kind == "contention") {
+		return s.coord.job(c), timeout, nil
+	}
+	return localJob(c), timeout, nil
 }
 
-// jobTimeout resolves a request's timeout against the server default.
-// Validation happened at submit time; a malformed persisted value falls
-// back to the default.
-func jobTimeout(req JobRequest, def time.Duration) time.Duration {
-	if req.Timeout != "" {
-		if d, err := time.ParseDuration(req.Timeout); err == nil && d > 0 {
-			return d
-		}
+// jobTimeout resolves a request's timeout: its own positive duration, or
+// def when it names none.
+func jobTimeout(req JobRequest, def time.Duration) (time.Duration, error) {
+	if req.Timeout == "" {
+		return def, nil
 	}
-	return def
+	d, err := time.ParseDuration(req.Timeout)
+	if err != nil || d <= 0 {
+		return 0, fmt.Errorf("bad timeout %q", req.Timeout)
+	}
+	return d, nil
 }
 
 // Submit validates req, assigns the next deterministic job ID
@@ -304,17 +323,9 @@ func jobTimeout(req JobRequest, def time.Duration) time.Duration {
 // bytes without running — or enqueues it. It returns ErrQueueFull when
 // the bounded queue has no room and ErrClosed after Shutdown began.
 func (s *Server) Submit(req JobRequest) (*Job, error) {
-	run, err := s.compileFor(req)
+	run, timeout, err := s.compileFor(req)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	timeout := s.opts.JobTimeout
-	if req.Timeout != "" {
-		d, err := time.ParseDuration(req.Timeout)
-		if err != nil || d <= 0 {
-			return nil, fmt.Errorf("%w: bad timeout %q", ErrBadRequest, req.Timeout)
-		}
-		timeout = d
 	}
 	key := jobKey(req, s.opts.DefaultScale)
 	cached, hit := s.cache.Get(key)

@@ -129,19 +129,27 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	}
 }
 
+// submitValidationBodies are malformed submissions every daemon rejects
+// with 400, coordinator or not.
+var submitValidationBodies = map[string]string{
+	"unknown kind":      `{"kind":"explode"}`,
+	"unknown scheme":    `{"kind":"run","scheme":"NOPE"}`,
+	"unknown trace":     `{"kind":"run","trace":"nope"}`,
+	"bad scale":         `{"kind":"run","scale":7}`,
+	"bad timeout":       `{"kind":"run","timeout":"yesterday"}`,
+	"unknown field":     `{"kind":"run","shceme":"IPU"}`,
+	"matrix scheme":     `{"kind":"matrix","schemes":["IPU","NOPE"]}`,
+	"bad param":         `{"kind":"sensitivity","param":"warp"}`,
+	"bad parallel":      `{"kind":"run","parallelism":-1}`,
+	"negative pe run":   `{"kind":"run","peBaseline":-5}`,
+	"negative pe cell":  `{"kind":"cell","peBaseline":-5}`,
+	"negative pe sweep": `{"kind":"matrix","peBaselines":[-5]}`,
+	"negative pe mixed": `{"kind":"matrix","peBaselines":[0,-5]}`,
+}
+
 func TestSubmitValidation(t *testing.T) {
 	_, ts := newTestService(t, Options{Workers: 1})
-	for name, body := range map[string]string{
-		"unknown kind":   `{"kind":"explode"}`,
-		"unknown scheme": `{"kind":"run","scheme":"NOPE"}`,
-		"unknown trace":  `{"kind":"run","trace":"nope"}`,
-		"bad scale":      `{"kind":"run","scale":7}`,
-		"bad timeout":    `{"kind":"run","timeout":"yesterday"}`,
-		"unknown field":  `{"kind":"run","shceme":"IPU"}`,
-		"matrix scheme":  `{"kind":"matrix","schemes":["IPU","NOPE"]}`,
-		"bad param":      `{"kind":"sensitivity","param":"warp"}`,
-		"bad parallel":   `{"kind":"run","parallelism":-1}`,
-	} {
+	for name, body := range submitValidationBodies {
 		resp, _ := postJob(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400", name, resp.StatusCode)
@@ -486,20 +494,23 @@ func TestMultiTenantJobEndToEnd(t *testing.T) {
 	}
 }
 
+// v3ValidationBodies place the schema-v3 fields where they make no sense.
+var v3ValidationBodies = map[string]string{
+	"tenants open-loop":    `{"kind":"run","tenants":[{"name":"a"}]}`,
+	"cache open-loop":      `{"kind":"run","writeCache":{"capacityBytes":1048576}}`,
+	"tenants on matrix":    `{"kind":"matrix","tenants":[{"name":"a"}]}`,
+	"cache on sensitivity": `{"kind":"sensitivity","param":"slcratio","writeCache":{"capacityBytes":1048576}}`,
+	"tenant bad trace":     `{"kind":"run","queueDepth":8,"tenants":[{"trace":"nope"}]}`,
+	"tenant bad weight":    `{"kind":"run","queueDepth":8,"tenants":[{"weight":-2}]}`,
+	"trace plus tenants":   `{"kind":"run","queueDepth":8,"trace":"ts0","tenants":[{"name":"a"}]}`,
+	"bad cache line":       `{"kind":"run","queueDepth":8,"writeCache":{"capacityBytes":1024,"lineBytes":4096}}`,
+}
+
 // TestV3FieldValidation asserts the schema-v3 fields are rejected where
 // they make no sense.
 func TestV3FieldValidation(t *testing.T) {
 	_, ts := newTestService(t, Options{Workers: 1})
-	for name, body := range map[string]string{
-		"tenants open-loop":    `{"kind":"run","tenants":[{"name":"a"}]}`,
-		"cache open-loop":      `{"kind":"run","writeCache":{"capacityBytes":1048576}}`,
-		"tenants on matrix":    `{"kind":"matrix","tenants":[{"name":"a"}]}`,
-		"cache on sensitivity": `{"kind":"sensitivity","param":"slcratio","writeCache":{"capacityBytes":1048576}}`,
-		"tenant bad trace":     `{"kind":"run","queueDepth":8,"tenants":[{"trace":"nope"}]}`,
-		"tenant bad weight":    `{"kind":"run","queueDepth":8,"tenants":[{"weight":-2}]}`,
-		"trace plus tenants":   `{"kind":"run","queueDepth":8,"trace":"ts0","tenants":[{"name":"a"}]}`,
-		"bad cache line":       `{"kind":"run","queueDepth":8,"writeCache":{"capacityBytes":1024,"lineBytes":4096}}`,
-	} {
+	for name, body := range v3ValidationBodies {
 		resp, _ := postJob(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400", name, resp.StatusCode)
