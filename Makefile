@@ -50,11 +50,15 @@ golden:
 	$(GO) test ./internal/core -run Golden -update
 
 # The scheme-matrix acceptance gate: every registered scheme through the
-# invariant harness (checked replays, stress, structural sweeps), the
-# cross-scheme differential runner, and the golden metric snapshots.
+# invariant harness (checked replays, stress, structural sweeps, Restore's
+# config check), the cross-scheme differential runner, the golden metric
+# snapshots, the one copy path (cloned and recycled devices replay like
+# fresh builds, clones stay independent, a device a replay left
+# mid-request is never pooled) and the flash array's in-place restore.
 check-schemes:
 	$(GO) test -count 1 ./internal/scheme
-	$(GO) test -count 1 -run 'TestDifferential|TestRunDifferential|TestGolden|TestRegistry|TestSchemeNames' ./internal/core
+	$(GO) test -count 1 -run 'TestDifferential|TestRunDifferential|TestGolden|TestRegistry|TestSchemeNames|TestCloneMatchesFreshReplay|TestRecycledCloneMatchesFreshReplay|TestCloneIndependence|TestReleaseDrops' ./internal/core
+	$(GO) test -count 1 -run TestRestore ./internal/flash
 
 # The multi-tenant/spec-API acceptance gate: the spec-vs-legacy
 # bit-identity differential across every scheme, multi-tenant replay

@@ -15,7 +15,7 @@ import (
 
 func main() {
 	// A simulator = geometry (Table 2, scaled) + error model (Fig. 2) +
-	// one of the three FTL schemes.
+	// one of the registered FTL schemes.
 	cfg := core.DefaultConfig() // IPU on a preconditioned device
 	sim, err := core.New(cfg)
 	if err != nil {

@@ -3,7 +3,7 @@
 // The example synthesises an MSR-Cambridge-format CSV (the format of the
 // public traces the paper uses), writes it to a temporary file, parses it
 // back, validates its statistics against the paper's Table 1/Table 3 row,
-// and replays it against all three schemes.
+// and replays it against every comparison scheme.
 //
 // To replay an actual downloaded MSR trace instead, pass its path:
 //

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"sync"
 )
 
@@ -64,21 +63,9 @@ func RunCellContext(ctx context.Context, spec MatrixSpec, cell MatrixCell) (*Res
 	if err != nil {
 		return nil, err
 	}
-	if spec.OnProgress != nil {
-		sim.OnProgress(spec.ProgressEvery, spec.OnProgress)
-	}
-	res, err := sim.RunContext(ctx, tr)
-	if err != nil {
-		// A cancelled replay stopped between requests, so the device is
-		// consistent and can rejoin the snapshot cache's free pool.
-		if errors.Is(err, ctx.Err()) && ctx.Err() != nil {
-			sim.Release()
-		}
-		return nil, err
-	}
-	sim.Release()
-	res.PEBaseline = cfg.Flash.PEBaseline
-	return res, nil
+	defer sim.Release()
+	sim.OnProgress(0, spec.OnProgress)
+	return sim.RunContext(ctx, tr)
 }
 
 // ForEachCell runs run(i) for every i in [0, n) on min(workers, n)

@@ -38,11 +38,6 @@ type ClosedLoopSpec struct {
 	// override per tenant). Zero means the evaluation defaults (42, 0.05).
 	Seed  int64
 	Scale float64
-	// OnProgress overrides the simulator's registered progress callback
-	// for this run; ProgressEvery is its granularity in requests
-	// (non-positive means DefaultProgressEvery).
-	OnProgress    ProgressFunc
-	ProgressEvery int
 }
 
 // DefaultTenantTrace is the profile a tenant without an explicit trace
@@ -177,16 +172,7 @@ func (s *Simulator) RunClosedLoopSpec(ctx context.Context, spec ClosedLoopSpec) 
 	if err != nil {
 		return nil, err
 	}
-	// The spec's own progress callback takes precedence over the
-	// simulator-registered one.
-	fn, every := spec.OnProgress, spec.ProgressEvery
-	if fn == nil {
-		fn, every = s.progress, s.progressEvery
-	}
-	if every <= 0 {
-		every = DefaultProgressEvery
-	}
-	return s.replay(ctx, l, fn, every)
+	return s.replay(ctx, l)
 }
 
 // newClosedLoop builds the gated loop of a closed-loop spec: one gate

@@ -137,9 +137,9 @@ func TestClosedLoopMatchesOpenLoopWhenIdle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		closed, err := smallSim(t).RunClosedLoopSpec(context.Background(), ClosedLoopSpec{
-			Trace: tr, Depth: tr.Len(), ProgressEvery: 7, OnProgress: record(&closedTicks),
-		})
+		closedSim := smallSim(t)
+		closedSim.OnProgress(7, record(&closedTicks))
+		closed, err := closedSim.RunClosedLoopSpec(context.Background(), ClosedLoopSpec{Trace: tr, Depth: tr.Len()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -169,12 +169,11 @@ func TestParallelCancelNoLeak(t *testing.T) {
 	}{
 		{"matrix", func(ctx context.Context, onProgress ProgressFunc) error {
 			_, err := RunMatrixContext(ctx, MatrixSpec{
-				Traces:        []string{"ts0"},
-				Scale:         0.05,
-				Seed:          42,
-				Workers:       4,
-				ProgressEvery: 256,
-				OnProgress:    onProgress,
+				Traces:     []string{"ts0"},
+				Scale:      0.05,
+				Seed:       42,
+				Workers:    4,
+				OnProgress: onProgress,
 			})
 			return err
 		}},

@@ -155,12 +155,11 @@ func TestRunMatrixContextCancelReturnsDevicesToPool(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	spec := MatrixSpec{
-		Traces:        []string{"ts0", "wdev0"},
-		Scale:         0.01,
-		Seed:          5,
-		Flash:         &fc,
-		Workers:       2,
-		ProgressEvery: 64,
+		Traces:  []string{"ts0", "wdev0"},
+		Scale:   0.01,
+		Seed:    5,
+		Flash:   &fc,
+		Workers: 2,
 		OnProgress: func(p Progress) {
 			if p.Replayed >= 256 {
 				cancel()
@@ -216,14 +215,13 @@ func TestRunMatrixAggregatedProgress(t *testing.T) {
 	fc := snapshotFlash()
 	var last Progress
 	spec := MatrixSpec{
-		Traces:        []string{"ts0"},
-		Schemes:       []string{"Baseline", "IPU"},
-		Scale:         0.005,
-		Seed:          7,
-		Flash:         &fc,
-		Workers:       1, // serialise so `last` needs no lock
-		ProgressEvery: 64,
-		OnProgress:    func(p Progress) { last = p },
+		Traces:     []string{"ts0"},
+		Schemes:    []string{"Baseline", "IPU"},
+		Scale:      0.005,
+		Seed:       7,
+		Flash:      &fc,
+		Workers:    1, // serialise so `last` needs no lock
+		OnProgress: func(p Progress) { last = p },
 	}
 	if _, err := RunMatrixContext(context.Background(), spec); err != nil {
 		t.Fatal(err)

@@ -31,7 +31,8 @@ type Config struct {
 	Flash flash.Config
 	// Error is the reliability model (Fig. 2 defaults).
 	Error errmodel.Model
-	// Scheme selects the FTL: "Baseline", "MGA" or "IPU".
+	// Scheme selects the FTL by registry name: one of SchemeNames
+	// ("Baseline", "MGA", "IPU", "IPS", "IPU-PGC") or an IPU variant.
 	Scheme string
 	// Check attaches the internal/check invariant harness to the run.
 	// check.Off (the default) costs nothing; check.Shadow mirrors and
@@ -90,7 +91,8 @@ type Simulator struct {
 	scheme scheme.Scheme
 
 	// key and pooled record the snapshot-cache identity of the scheme
-	// instance, so Release can hand it back for recycling.
+	// instance, so Release can hand it back for recycling. replay clears
+	// pooled while requests are in flight.
 	key    snapshotKey
 	pooled bool
 
@@ -145,24 +147,6 @@ func (s *Simulator) OnProgress(every int, fn ProgressFunc) {
 	s.progress = fn
 }
 
-// Release hands the scheme instance back to the snapshot cache's free pool
-// for recycling and invalidates the simulator: every later Write, Read or
-// Run on it fails with ErrReleased. Only callers that fully own the
-// simulator (sweep cells, daemon jobs) may call it — a released
-// device is overwritten in place by a later job. Release is idempotent.
-func (s *Simulator) Release() {
-	if s.scheme == nil {
-		return
-	}
-	if s.pooled {
-		d := s.scheme.Device()
-		d.Check = nil
-		d.TestHooks.AfterHostWrite = nil
-		releaseScheme(s.key, s.scheme)
-	}
-	s.scheme = nil
-}
-
 // Write services one host write request, returning its completion time.
 func (s *Simulator) Write(now int64, offset int64, size int) (int64, error) {
 	if s.scheme == nil {
@@ -200,7 +184,7 @@ func (s *Simulator) RunContext(ctx context.Context, tr *trace.Trace) (*Result, e
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	return s.replay(ctx, &replayLoop{tr: tr, sch: s.scheme}, s.progress, s.progressEvery)
+	return s.replay(ctx, &replayLoop{tr: tr, sch: s.scheme})
 }
 
 // checkFinal runs the attached invariant checker's end-of-run sweep.

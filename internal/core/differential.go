@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"ipusim/internal/check"
 	"ipusim/internal/flash"
@@ -15,14 +14,12 @@ import (
 // ablation/extension variant, sorted for deterministic output.
 func DifferentialSchemes() []string {
 	names := append([]string(nil), SchemeNames...)
-	var variants []string
-	for name := range scheme.IPUVariants() {
+	for _, name := range sortedKeys(scheme.IPUVariants()) {
 		if name != "IPU" {
-			variants = append(variants, name)
+			names = append(names, name)
 		}
 	}
-	sort.Strings(variants)
-	return append(names, variants...)
+	return names
 }
 
 // RunDifferential replays one trace through every named scheme with the

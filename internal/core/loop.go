@@ -108,30 +108,58 @@ func (l *replayLoop) step(i int) int64 {
 }
 
 // replay runs the request loop to completion, polling ctx once per stride
-// and right after every progress callback, and delivering fn a Progress
-// snapshot every `every` requests and at completion. A cancelled run
-// returns ctx's error with a nil Result — except a tenant run, whose
-// partial Result carries every tenant's progress.
-func (s *Simulator) replay(ctx context.Context, l *replayLoop, fn ProgressFunc, every int) (*Result, error) {
+// and right after every progress callback, and delivering the OnProgress
+// callback a Progress snapshot every progressEvery requests and at
+// completion. A cancelled run returns ctx's error with a nil Result —
+// except a tenant run, whose partial Result carries every tenant's
+// progress. The device is not pooled while the loop runs: it rejoins the
+// pool only at a clean stop (the end of the trace with the final check
+// passing, or a cancel between requests).
+func (s *Simulator) replay(ctx context.Context, l *replayLoop) (*Result, error) {
+	pooled := s.pooled
+	s.pooled = false
 	done := ctx.Done()
 	met := s.scheme.Metrics()
+	fn, every := s.progress, s.progressEvery
 	n := l.len()
 	for i := 0; i < n; i++ {
 		if done != nil && i%stride == 0 && stopped(done) {
-			return s.partial(l, i), ctx.Err()
+			return s.stop(l, i, pooled, ctx.Err())
 		}
 		end := l.step(i)
 		if fn != nil && ((i+1)%every == 0 || i+1 == n) {
 			fn(Progress{Replayed: i + 1, Total: n, SimTime: end, GCs: met.GCs()})
 			if done != nil && stopped(done) {
-				return s.partial(l, i+1), ctx.Err()
+				return s.stop(l, i+1, pooled, ctx.Err())
 			}
 		}
 	}
 	if err := s.checkFinal(); err != nil {
 		return nil, err
 	}
-	return s.finish(l, n), nil
+	return s.stop(l, n, pooled, nil)
+}
+
+// stop ends a replay cleanly, between requests, after completed requests.
+// It snapshots the run's Result — nil for a cancelled run (err set)
+// unless it is a tenant run; a write buffer is then drained at the last
+// completion time and its counters, drain flushes included, reported with
+// the result. The device then rejoins the pool it came from.
+func (s *Simulator) stop(l *replayLoop, completed int, pooled bool, err error) (*Result, error) {
+	var res *Result
+	if err == nil || l.accums != nil {
+		res = s.Result(l.name(), completed)
+		if l.wb != nil {
+			l.wb.Drain(l.last)
+			st := l.wb.Stats()
+			res.WriteCache = &st
+		}
+		if l.accums != nil {
+			l.tenantResults(res)
+		}
+	}
+	s.pooled = pooled
+	return res, err
 }
 
 // stopped polls a done channel without blocking.
@@ -142,28 +170,4 @@ func stopped(done <-chan struct{}) bool {
 	default:
 		return false
 	}
-}
-
-// partial is the Result of a cancelled run: nil, except for tenant runs.
-func (s *Simulator) partial(l *replayLoop, completed int) *Result {
-	if l.accums == nil {
-		return nil
-	}
-	return s.finish(l, completed)
-}
-
-// finish snapshots the run's Result. A write buffer is then drained at
-// the last completion time and its counters, drain flushes included,
-// reported with the result.
-func (s *Simulator) finish(l *replayLoop, completed int) *Result {
-	res := s.Result(l.name(), completed)
-	if l.wb != nil {
-		l.wb.Drain(l.last)
-		st := l.wb.Stats()
-		res.WriteCache = &st
-	}
-	if l.accums != nil {
-		l.tenantResults(res)
-	}
-	return res
 }

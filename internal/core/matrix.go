@@ -17,7 +17,8 @@ type MatrixSpec struct {
 	// Traces names the workload profiles to synthesise (trace.Profiles
 	// keys). Empty means all six, in Table 3 order.
 	Traces []string
-	// Schemes lists the FTLs to compare. Empty means all three.
+	// Schemes lists the FTLs to compare. Empty means SchemeNames, all
+	// five.
 	Schemes []string
 	// PEBaselines lists the device use stages (Figs. 13–14). Empty means
 	// the Table 2 default only.
@@ -37,9 +38,6 @@ type MatrixSpec struct {
 	// invoked concurrently from worker goroutines and must be safe for
 	// concurrent use.
 	OnProgress ProgressFunc
-	// ProgressEvery is the per-run callback granularity in requests;
-	// non-positive means DefaultProgressEvery.
-	ProgressEvery int
 }
 
 // normalize fills defaults.

@@ -131,16 +131,21 @@ func init() {
 	// The remaining IPU ablation/extension variants, sorted for a
 	// deterministic registration order.
 	variants := scheme.IPUVariants()
-	names := make([]string, 0, len(variants))
-	for name := range variants {
+	for _, name := range sortedKeys(variants) {
 		if name != "IPU" {
-			names = append(names, name)
+			RegisterScheme(name, ipuBuilder(variants[name]))
 		}
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		RegisterScheme(name, ipuBuilder(variants[name]))
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
+	sort.Strings(keys)
+	return keys
 }
 
 // registerPaperScheme registers a builder and inserts the name into

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"ipusim/internal/flash"
@@ -22,6 +23,17 @@ var SensitivityParams = map[string][]float64{
 	"planes": {1, 2, 4},
 }
 
+// SensitivityParamNames lists the SensitivityParams keys in sorted order,
+// the one list every unknown-parameter error names.
+var SensitivityParamNames = sortedKeys(SensitivityParams)
+
+// unknownSensitivityParam is the error for a parameter RunSensitivityContext
+// cannot sweep.
+func unknownSensitivityParam(param string) error {
+	return fmt.Errorf("core: unknown sensitivity parameter %q (have %s)",
+		param, strings.Join(SensitivityParamNames, ", "))
+}
+
 // applySensitivity returns a copy of base with the parameter applied.
 func applySensitivity(base flash.Config, param string, value float64) (flash.Config, error) {
 	fc := base
@@ -35,7 +47,7 @@ func applySensitivity(base flash.Config, param string, value float64) (flash.Con
 	case "planes":
 		fc.PlanesPerDie = int(value)
 	default:
-		return fc, fmt.Errorf("core: unknown sensitivity parameter %q (have slcratio, gcthreshold, backlogcap)", param)
+		return fc, unknownSensitivityParam(param)
 	}
 	// Keep the logical space consistent with the (possibly changed) MLC size.
 	fc.LogicalSubpages = fc.MLCSubpages() * 3 / 4
@@ -117,7 +129,7 @@ func SensitivityTable(param string, values []float64, perPoint [][]*Result) *met
 func RunSensitivityContext(ctx context.Context, param string, spec MatrixSpec) (*metrics.Table, error) {
 	values, ok := SensitivityParams[param]
 	if !ok {
-		return nil, fmt.Errorf("core: unknown sensitivity parameter %q", param)
+		return nil, unknownSensitivityParam(param)
 	}
 	perPoint := make([][]*Result, len(values))
 	for i, v := range values {

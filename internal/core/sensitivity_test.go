@@ -16,6 +16,22 @@ func TestRunSensitivityUnknownParam(t *testing.T) {
 	}
 }
 
+// TestSensitivityErrorsNameEveryParam asserts both unknown-parameter
+// errors name all four sweepable parameters, in sorted order.
+func TestSensitivityErrorsNameEveryParam(t *testing.T) {
+	const want = "(have backlogcap, gcthreshold, planes, slcratio)"
+	if len(SensitivityParamNames) != len(SensitivityParams) {
+		t.Fatalf("SensitivityParamNames = %v, want every SensitivityParams key", SensitivityParamNames)
+	}
+	_, runErr := RunSensitivityContext(context.Background(), "voltage", MatrixSpec{})
+	_, cellErr := SensitivityCellConfig("voltage", 1)
+	for name, err := range map[string]error{"RunSensitivityContext": runErr, "SensitivityCellConfig": cellErr} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s error = %v, want it to contain %q", name, err, want)
+		}
+	}
+}
+
 func TestRunSensitivitySLCRatio(t *testing.T) {
 	fc := smallFlash()
 	tab, err := RunSensitivityContext(context.Background(), "slcratio", MatrixSpec{

@@ -89,10 +89,11 @@ func snapshotScheme(cfg Config) (scheme.Scheme, snapshotKey, error) {
 
 	snapshotMu.Lock()
 	snapshotClock++
-	if e, ok := snapshotCache[key]; ok {
+	var reuse scheme.Scheme
+	e, ok := snapshotCache[key]
+	if ok {
 		e.lastUse = snapshotClock
 		snapshotHits++
-		var reuse scheme.Scheme
 		if n := len(e.free); n > 0 && e.built && e.buildErr == nil {
 			reuse = e.free[n-1]
 			e.free[n-1] = nil
@@ -100,49 +101,55 @@ func snapshotScheme(cfg Config) (scheme.Scheme, snapshotKey, error) {
 		}
 		snapshotMu.Unlock()
 		<-e.ready
-		if e.buildErr != nil {
-			return nil, key, e.buildErr
-		}
-		if reuse != nil && reuse.Restore(e.s) {
-			return reuse, key, nil
-		}
-		return e.s.Clone(), key, nil
-	}
-	e := &snapshotEntry{ready: make(chan struct{}), lastUse: snapshotClock}
-	snapshotCache[key] = e
-	snapshotMiss++
-	evictSnapshotsLocked()
-	snapshotMu.Unlock()
+	} else {
+		e = &snapshotEntry{ready: make(chan struct{}), lastUse: snapshotClock}
+		snapshotCache[key] = e
+		snapshotMiss++
+		evictSnapshotsLocked()
+		snapshotMu.Unlock()
 
-	s, err := buildScheme(cfg)
-	snapshotMu.Lock()
-	e.s, e.buildErr = s, err
-	e.built = true
-	if err != nil {
+		s, err := buildScheme(cfg)
+		snapshotMu.Lock()
+		e.s, e.buildErr = s, err
+		e.built = true
 		// Build errors are not cached: a later call with the same bad
 		// config re-derives the error instead of serving a stale one.
-		if snapshotCache[key] == e {
+		if err != nil && snapshotCache[key] == e {
 			delete(snapshotCache, key)
 		}
+		snapshotMu.Unlock()
+		close(e.ready)
 	}
-	snapshotMu.Unlock()
-	close(e.ready)
-	if err != nil {
-		return nil, key, err
+	if e.buildErr != nil {
+		return nil, key, e.buildErr
 	}
-	return s.Clone(), key, nil
+	if reuse != nil && reuse.Restore(e.s) {
+		return reuse, key, nil
+	}
+	return e.s.Clone(), key, nil
 }
 
-// releaseScheme returns a clone to its template's free pool for recycling.
-// The caller must be done with it entirely: the next job overwrites its
-// state in place. Clones whose template has been evicted (or whose pool is
-// full) are simply dropped to the garbage collector.
-func releaseScheme(key snapshotKey, s scheme.Scheme) {
-	snapshotMu.Lock()
-	if e, ok := snapshotCache[key]; ok && e.built && e.buildErr == nil && len(e.free) < snapshotFreeCap {
-		e.free = append(e.free, s)
+// Release hands the scheme instance back to its template's free pool for
+// recycling and invalidates the simulator: every later Write, Read or Run
+// on it fails with ErrReleased. Only callers that fully own the simulator
+// (sweep cells, daemon jobs) may call it — a released device is
+// overwritten in place by a later job. A device that did not come from the
+// cache, whose template has been evicted or whose pool is full, or that a
+// replay left mid-request (a panic, a failed final check) is dropped to
+// the garbage collector instead, so `defer sim.Release()` is always safe.
+// Release is idempotent.
+func (s *Simulator) Release() {
+	if s.scheme != nil && s.pooled {
+		d := s.scheme.Device()
+		d.Check = nil
+		d.TestHooks.AfterHostWrite = nil
+		snapshotMu.Lock()
+		if e, ok := snapshotCache[s.key]; ok && e.built && e.buildErr == nil && len(e.free) < snapshotFreeCap {
+			e.free = append(e.free, s.scheme)
+		}
+		snapshotMu.Unlock()
 	}
-	snapshotMu.Unlock()
+	s.scheme = nil
 }
 
 // evictSnapshotsLocked drops least-recently-used built templates until the

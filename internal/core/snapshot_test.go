@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ipusim/internal/flash"
+	"ipusim/internal/scheme"
 	"ipusim/internal/trace"
 )
 
@@ -137,6 +138,65 @@ func TestRecycledCloneMatchesFreshReplay(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: recycled replay diverged from first:\n got %+v\nwant %+v", name, got, want)
 		}
+	}
+}
+
+// TestReleaseDropsDeviceLeftMidReplay covers the release rule's other
+// half: a replay that panics mid-request leaves its device inconsistent,
+// so a deferred Release must drop it rather than pool it, and the next
+// New must still replay exactly like a fresh build. (The cancel tests
+// cover the clean-stop half: cancelled devices are still recycled.)
+func TestReleaseDropsDeviceLeftMidReplay(t *testing.T) {
+	tr, err := trace.Generate(trace.Profiles["ts0"], 11, 0.005)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ResetSnapshotCache()
+	cfg := DefaultConfig()
+	cfg.Flash = snapshotFlash()
+	cfg.Scheme = "IPU"
+
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes := 0
+	sim.Scheme().Device().TestHooks.AfterHostWrite = func(*scheme.Device, int64) {
+		if writes++; writes == 50 {
+			panic("injected fault")
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the injected fault did not panic")
+			}
+		}()
+		defer sim.Release()
+		_, _ = sim.Run(tr) // panics at the injected fault
+	}()
+	if free := poolFreeTotal(); free != 0 {
+		t.Fatalf("%d devices pooled after a replay panicked mid-request, want 0", free)
+	}
+
+	fresh, err := NewFresh(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := next.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("replay after the dropped device diverged from fresh:\n got %+v\nwant %+v", got, want)
 	}
 }
 

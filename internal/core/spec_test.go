@@ -248,15 +248,13 @@ func TestMultiTenantCancelReturnsPartials(t *testing.T) {
 	defer cancel()
 	const stopAt = 64
 	replayed := 0
-	spec := twoTenantSpec()
-	spec.ProgressEvery = 1
-	spec.OnProgress = func(p Progress) {
+	sim.OnProgress(1, func(p Progress) {
 		replayed = p.Replayed
 		if p.Replayed == stopAt {
 			cancel()
 		}
-	}
-	res, err := sim.RunClosedLoopSpec(ctx, spec)
+	})
+	res, err := sim.RunClosedLoopSpec(ctx, twoTenantSpec())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -158,11 +157,10 @@ func ContentionCells(spec TenantContentionSpec) ([]ContentionCell, error) {
 // contentionRunSpec builds the closed-loop spec one cell replays.
 func contentionRunSpec(spec *TenantContentionSpec, cell ContentionCell) ClosedLoopSpec {
 	run := ClosedLoopSpec{
-		Depth:      spec.Depth,
-		Tenants:    cell.Mix.Tenants,
-		Seed:       spec.Seed,
-		Scale:      spec.Scale,
-		OnProgress: spec.OnProgress,
+		Depth:   spec.Depth,
+		Tenants: cell.Mix.Tenants,
+		Seed:    spec.Seed,
+		Scale:   spec.Scale,
 	}
 	if cell.Buffered {
 		run.WriteCache = &cache.Config{CapacityBytes: spec.CacheBytes}
@@ -185,17 +183,12 @@ func RunContentionCellContext(ctx context.Context, spec TenantContentionSpec, ce
 	if err != nil {
 		return ContentionRow{}, err
 	}
+	defer sim.Release()
+	sim.OnProgress(0, spec.OnProgress)
 	res, err := sim.RunClosedLoopSpec(ctx, contentionRunSpec(&spec, cell))
 	if err != nil {
-		// A cancelled run stopped between requests, so its device is
-		// structurally consistent and can rejoin the free pool; any other
-		// failure drops the device on the floor.
-		if errors.Is(err, ctx.Err()) && ctx.Err() != nil {
-			sim.Release()
-		}
 		return ContentionRow{}, err
 	}
-	sim.Release()
 	return ContentionRow{Mix: cell.Mix.Name, Scheme: cell.Scheme, Buffered: cell.Buffered, Result: res}, nil
 }
 

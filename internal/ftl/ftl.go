@@ -1,5 +1,5 @@
-// Package ftl holds the address-translation substrate shared by the three
-// schemes: a dense logical-subpage → physical-subpage map used for
+// Package ftl holds the address-translation substrate shared by every
+// scheme: a dense logical-subpage → physical-subpage map used for
 // simulation bookkeeping, and the per-scheme mapping-table memory models
 // behind the paper's Fig. 11.
 //

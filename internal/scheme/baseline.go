@@ -25,17 +25,15 @@ func NewBaseline(cfg *flash.Config, em *errmodel.Model) (*Baseline, error) {
 
 // Clone implements Scheme.
 func (b *Baseline) Clone() Scheme {
-	return &Baseline{dev: b.dev.Clone()}
+	c := &Baseline{dev: &Device{}}
+	c.Restore(b)
+	return c
 }
 
 // Restore implements Scheme.
 func (b *Baseline) Restore(from Scheme) bool {
 	t, ok := from.(*Baseline)
-	if !ok || b.dev.Map.Len() != t.dev.Map.Len() || b.dev.Arr.NumBlocks() != t.dev.Arr.NumBlocks() {
-		return false
-	}
-	b.dev.Restore(t.dev)
-	return true
+	return ok && b.dev.Restore(t.dev)
 }
 
 // Name implements Scheme.

@@ -53,9 +53,33 @@ type Device struct {
 	slcValidSub       int64 // valid subpages resident in SLC
 	slcPagesWithValid int64 // SLC pages holding at least one valid subpage
 
-	// Reusable hot-path scratch, so steady-state Write/Read requests and
-	// GC victims allocate nothing. The fixed-size buffers are bounded by
-	// flash.Config.Validate's SlotsPerPage() <= 8 cap.
+	frames int // logical frame count, sizes the GC frame collectors
+
+	// scratch is per-call state the hot paths reset before use. It is
+	// never copied between devices: Restore keeps the receiver's.
+	scratch
+
+	// Check, when non-nil, is the attached invariant checker: host writes,
+	// trims and reads are mirrored into its shadow store, and every GC
+	// event triggers a structural sweep (at check.Full). Violations panic
+	// through must — a checker failure is a simulator bug, never a
+	// workload condition.
+	Check *check.Checker
+
+	// TestHooks are test-only fault-injection points; production code
+	// must leave them nil.
+	TestHooks struct {
+		// AfterHostWrite runs after a host write completed and was noted
+		// in the checker. Tests use it to corrupt state mid-run and
+		// assert the harness catches the damage.
+		AfterHostWrite func(d *Device, now int64)
+	}
+}
+
+// scratch is a device's reusable hot-path scratch, so steady-state
+// Write/Read requests and GC victims allocate nothing. The fixed-size
+// buffers are bounded by flash.Config.Validate's SlotsPerPage() <= 8 cap.
+type scratch struct {
 	lsnBuf   []flash.LSN   // LSNRange result, reused per request
 	chunkBuf [][]flash.LSN // Chunks result: views into lsnBuf
 	writes   [8]flash.SlotWrite
@@ -66,7 +90,6 @@ type Device struct {
 	// two movement paths (separate instances because SLC movement nests
 	// MLC GC), and MoveIPU's per-page frame groups.
 	excl          ExcludeSet
-	frames        int // logical frame count, sizes the collectors
 	slcMoveFrames frameCollector
 	mlcMoveFrames frameCollector
 	pageFrames    [8]frameGroup
@@ -84,22 +107,6 @@ type Device struct {
 	berMemo        [2][]float64
 	unmappedCost   errmodel.ReadCost
 	unmappedCostOK bool
-
-	// Check, when non-nil, is the attached invariant checker: host writes,
-	// trims and reads are mirrored into its shadow store, and every GC
-	// event triggers a structural sweep (at check.Full). Violations panic
-	// through must — a checker failure is a simulator bug, never a
-	// workload condition.
-	Check *check.Checker
-
-	// TestHooks are test-only fault-injection points; production code
-	// must leave them nil.
-	TestHooks struct {
-		// AfterHostWrite runs after a host write completed and was noted
-		// in the checker. Tests use it to corrupt state mid-run and
-		// assert the harness catches the damage.
-		AfterHostWrite func(d *Device, now int64)
-	}
 }
 
 // perform schedules one flash operation, routing it to the background
@@ -165,58 +172,38 @@ func NewDevice(cfg *flash.Config, em *errmodel.Model) (*Device, error) {
 	return d, nil
 }
 
-// Clone returns a deep copy of the device: flash array, engine, mapping
-// and metrics are duplicated so the clone and the original evolve fully
-// independently, while the immutable config and error model are shared.
-// Per-call scratch buffers are left empty (they are rebuilt lazily) and no
-// checker is attached — call AttachChecker on the clone. Clone a device
-// only between requests, never while a GC is mid-flight.
+// Clone returns a deep copy of the device: a Restore into an empty
+// Device. Flash array, engine, mapping and metrics are duplicated so the
+// clone and the original evolve fully independently, while the immutable
+// config and error model are shared. Per-call scratch starts empty (it is
+// rebuilt lazily) and no checker is attached — call AttachChecker on the
+// clone. Clone a device only between requests, never while a GC is
+// mid-flight.
 func (d *Device) Clone() *Device {
 	c := &Device{}
-	*c = *d
-	c.Arr = d.Arr.Clone()
-	c.Eng = d.Eng.Clone()
-	c.Map = d.Map.Clone()
-	met := *d.Met
-	c.Met = &met
-	c.slcFree = append([]int(nil), d.slcFree...)
-	c.mlcFree = append([]int(nil), d.mlcFree...)
-	for i := range c.open {
-		c.open[i] = append([]int(nil), d.open[i]...)
-	}
-	c.mlcOpen = append([]int(nil), d.mlcOpen...)
-	c.blockReadyAt = append([]int64(nil), d.blockReadyAt...)
-	// Scratch is per-call state: sharing backing arrays with the source
-	// would race when clones run on different goroutines.
-	c.lsnBuf = nil
-	c.chunkBuf = nil
-	c.excl = *NewExcludeSet(d.Cfg.Blocks)
-	c.slcMoveFrames = frameCollector{}
-	c.mlcMoveFrames = frameCollector{}
-	c.readGroups = nil
-	c.unmappedFr = nil
-	c.unmappedCnt = nil
-	// The memo values stay valid (the clone shares Cfg and Err) but the
-	// backing arrays must not be shared: clones run on other goroutines
-	// and grow their memos independently.
-	c.berMemo[0] = append([]float64(nil), d.berMemo[0]...)
-	c.berMemo[1] = append([]float64(nil), d.berMemo[1]...)
-	c.Check = nil
-	c.TestHooks.AfterHostWrite = nil
+	c.Restore(d)
 	return c
 }
 
-// Restore overwrites d with a deep copy of t, reusing d's component
-// objects, backing stores and hot-path scratch instead of allocating fresh
-// ones. It is the recycled-clone start-up path: restoring a released clone
-// from its template is one bulk copy pass with no garbage. Both devices
-// must come from the same geometry; like Clone, the result starts with no
-// checker and no test hooks.
-func (d *Device) Restore(t *Device) {
+// Restore overwrites d with a deep copy of t and reports whether it did.
+// An empty Device (the zero value) allocates its components; a built one
+// reuses its component objects, backing stores and hot-path scratch — the
+// recycled-clone start-up path, one bulk copy pass with no garbage. A
+// built d whose flash config differs from t's refuses and is left
+// untouched. The result starts with no checker and no test hooks.
+func (d *Device) Restore(t *Device) bool {
+	switch {
+	case d.Cfg == nil:
+		d.Arr, d.Eng, d.Map, d.Met = t.Arr.Clone(), t.Eng.Clone(), t.Map.Clone(), &Metrics{}
+		d.excl = *NewExcludeSet(t.Cfg.Blocks)
+	case *d.Cfg != *t.Cfg:
+		return false
+	default:
+		d.Arr.Restore(t.Arr)
+		d.Eng.Restore(t.Eng)
+		d.Map.Restore(t.Map)
+	}
 	arr, eng, m, met := d.Arr, d.Eng, d.Map, d.Met
-	arr.Restore(t.Arr)
-	eng.Restore(t.Eng)
-	m.Restore(t.Map)
 	*met = *t.Met
 	slcFree := append(d.slcFree[:0], t.slcFree...)
 	mlcFree := append(d.mlcFree[:0], t.mlcFree...)
@@ -226,30 +213,19 @@ func (d *Device) Restore(t *Device) {
 	}
 	mlcOpen := append(d.mlcOpen[:0], t.mlcOpen...)
 	blockReadyAt := append(d.blockReadyAt[:0], t.blockReadyAt...)
-	// Scratch stays with d: it is per-call state the hot paths reset before
-	// use, and the released clone's grown buffers are worth keeping.
-	lsnBuf, chunkBuf := d.lsnBuf, d.chunkBuf
-	excl := d.excl
-	slcMove, mlcMove := d.slcMoveFrames, d.mlcMoveFrames
-	readGroups, unmappedFr, unmappedCnt := d.readGroups, d.unmappedFr, d.unmappedCnt
-	berMemo := d.berMemo
+	sc := d.scratch // a released clone's grown buffers are worth keeping
 
 	*d = *t
 	d.Arr, d.Eng, d.Map, d.Met = arr, eng, m, met
 	d.slcFree, d.mlcFree, d.open, d.mlcOpen, d.blockReadyAt = slcFree, mlcFree, open, mlcOpen, blockReadyAt
-	d.lsnBuf, d.chunkBuf = lsnBuf, chunkBuf
-	d.excl = excl
-	d.slcMoveFrames, d.mlcMoveFrames = slcMove, mlcMove
-	d.readGroups, d.unmappedFr, d.unmappedCnt = readGroups, unmappedFr, unmappedCnt
-	// Keep d's own memo arrays (never t's — they may be shared with other
-	// restores of the same template) but drop their contents: Restore's
-	// contract is only "same geometry", and the memo is keyed by the
-	// error model and P/E baseline.
-	d.berMemo[0] = berMemo[0][:0]
-	d.berMemo[1] = berMemo[1][:0]
+	d.scratch = sc
+	// The memos are keyed by the error model, which t need not share:
+	// keep d's arrays but drop their contents.
+	d.berMemo = [2][]float64{sc.berMemo[0][:0], sc.berMemo[1][:0]}
 	d.unmappedCostOK = false
 	d.Check = nil
 	d.TestHooks.AfterHostWrite = nil
+	return true
 }
 
 // preFill preconditions the device: the whole logical space is written

@@ -68,22 +68,19 @@ func (s *IPS) Metrics() *Metrics { return s.dev.Met }
 
 // Clone implements Scheme.
 func (s *IPS) Clone() Scheme {
-	return &IPS{
-		dev:         s.dev.Clone(),
-		switched:    append([]int(nil), s.switched...),
-		maxSwitched: s.maxSwitched,
-	}
+	c := &IPS{dev: &Device{}}
+	c.Restore(s)
+	return c
 }
 
 // Restore implements Scheme.
 func (s *IPS) Restore(from Scheme) bool {
 	t, ok := from.(*IPS)
-	if !ok || s.maxSwitched != t.maxSwitched ||
-		s.dev.Map.Len() != t.dev.Map.Len() || s.dev.Arr.NumBlocks() != t.dev.Arr.NumBlocks() {
+	if !ok || !s.dev.Restore(t.dev) {
 		return false
 	}
-	s.dev.Restore(t.dev)
 	s.switched = append(s.switched[:0], t.switched...)
+	s.maxSwitched = t.maxSwitched
 	return true
 }
 

@@ -150,27 +150,20 @@ func (u *IPU) bindVictim() {
 
 // Clone implements Scheme.
 func (u *IPU) Clone() Scheme {
-	c := &IPU{
-		dev:        u.dev.Clone(),
-		v:          u.v,
-		combine:    append([]flash.PPA(nil), u.combine...),
-		hasCombine: append([]bool(nil), u.hasCombine...),
-		combineRR:  u.combineRR,
-	}
+	c := &IPU{dev: &Device{}, v: u.v}
 	c.bindVictim()
+	c.Restore(u)
 	return c
 }
 
 // Restore implements Scheme.
 func (u *IPU) Restore(from Scheme) bool {
 	t, ok := from.(*IPU)
-	if !ok || u.v != t.v || len(u.combine) != len(t.combine) ||
-		u.dev.Map.Len() != t.dev.Map.Len() || u.dev.Arr.NumBlocks() != t.dev.Arr.NumBlocks() {
+	if !ok || u.v != t.v || !u.dev.Restore(t.dev) {
 		return false
 	}
-	u.dev.Restore(t.dev)
-	copy(u.combine, t.combine)
-	copy(u.hasCombine, t.hasCombine)
+	u.combine = append(u.combine[:0], t.combine...)
+	u.hasCombine = append(u.hasCombine[:0], t.hasCombine...)
 	u.combineRR = t.combineRR
 	// victimFn is already bound to u.
 	return true

@@ -101,15 +101,9 @@ func (g *IPUPGC) Config() PGCConfig { return g.pgc }
 
 // Clone implements Scheme.
 func (g *IPUPGC) Clone() Scheme {
-	return &IPUPGC{
-		ipu:          g.ipu.Clone().(*IPU),
-		pgc:          g.pgc,
-		victim:       g.victim,
-		victimErase:  g.victimErase,
-		cursor:       g.cursor,
-		pendingUsed:  g.pendingUsed,
-		pendingTotal: g.pendingTotal,
-	}
+	c := *g
+	c.ipu = g.ipu.Clone().(*IPU)
+	return &c
 }
 
 // Restore implements Scheme.
@@ -118,8 +112,9 @@ func (g *IPUPGC) Restore(from Scheme) bool {
 	if !ok || g.pgc != t.pgc || !g.ipu.Restore(t.ipu) {
 		return false
 	}
-	g.victim, g.victimErase, g.cursor = t.victim, t.victimErase, t.cursor
-	g.pendingUsed, g.pendingTotal = t.pendingUsed, t.pendingTotal
+	ipu := g.ipu
+	*g = *t
+	g.ipu = ipu
 	return true
 }
 

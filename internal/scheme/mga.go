@@ -46,28 +46,22 @@ func NewMGA(cfg *flash.Config, em *errmodel.Model) (*MGA, error) {
 
 // Clone implements Scheme.
 func (m *MGA) Clone() Scheme {
-	c := &MGA{
-		dev:       m.dev.Clone(),
-		openPages: append([]flash.PPA(nil), m.openPages...),
-		hasOpen:   append([]bool(nil), m.hasOpen...),
-		rr:        m.rr,
-	}
-	// Rebind the victim selector: the method value must capture the clone,
-	// or its GC would protect the template's open pages instead.
+	c := &MGA{dev: &Device{}}
+	// The method value must capture the clone, or its GC would protect
+	// the template's open pages instead.
 	c.victimFn = c.victim
+	c.Restore(m)
 	return c
 }
 
 // Restore implements Scheme.
 func (m *MGA) Restore(from Scheme) bool {
 	t, ok := from.(*MGA)
-	if !ok || len(m.openPages) != len(t.openPages) ||
-		m.dev.Map.Len() != t.dev.Map.Len() || m.dev.Arr.NumBlocks() != t.dev.Arr.NumBlocks() {
+	if !ok || !m.dev.Restore(t.dev) {
 		return false
 	}
-	m.dev.Restore(t.dev)
-	copy(m.openPages, t.openPages)
-	copy(m.hasOpen, t.hasOpen)
+	m.openPages = append(m.openPages[:0], t.openPages...)
+	m.hasOpen = append(m.hasOpen[:0], t.hasOpen...)
 	m.rr = t.rr
 	// victimFn is already bound to m.
 	return true

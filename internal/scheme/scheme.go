@@ -1,5 +1,6 @@
-// Package scheme implements the three flash translation layers the paper
-// evaluates on top of the shared flash/timing substrate:
+// Package scheme implements the flash translation layers the simulator
+// compares on top of the shared flash/timing substrate — the paper's three
+// and two cross-paper counterparts:
 //
 //   - Baseline: dynamic page-level mapping, partial programming disabled.
 //     A sub-page-sized write wastes the remainder of its physical page.
@@ -13,8 +14,12 @@
 //     three-level block hierarchy (Work/Monitor/Hot) separates hot and
 //     cold data, and GC selects victims by invalid-subpage ratio with
 //     degraded movement of cold data toward the MLC region.
+//   - IPS: In-place Switch (after arXiv:2409.14360). Mostly-valid GC
+//     victims are reprogrammed into MLC mode in place instead of migrated.
+//   - IPU-PGC: IPU with a time-efficient preemptive incremental garbage
+//     collector (after arXiv:1807.09313).
 //
-// All three share the Device: flash array, timing engine, error model,
+// All five share the Device: flash array, timing engine, error model,
 // logical-to-physical bookkeeping, SLC-cache and MLC-region allocators,
 // and garbage-collection plumbing.
 package scheme
@@ -39,14 +44,14 @@ type Scheme interface {
 	Metrics() *Metrics
 	// Clone returns a deep copy of the scheme and its device, so a
 	// preconditioned instance can serve as a template for many independent
-	// runs. Clone only between requests (never mid-GC); the copy starts
-	// with no checker attached.
+	// runs: a Restore into an empty instance. Clone only between requests
+	// (never mid-GC); the copy starts with no checker attached.
 	Clone() Scheme
 	// Restore overwrites this instance with a deep copy of from, reusing
 	// its own allocations — a Clone into recycled storage. It reports false
 	// (leaving the receiver untouched) when from is a different concrete
-	// scheme or geometry. Like Clone, the restored instance starts with no
-	// checker attached.
+	// scheme, variant or flash config. Like Clone, the restored instance
+	// starts with no checker attached.
 	Restore(from Scheme) bool
 }
 

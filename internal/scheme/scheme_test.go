@@ -2,6 +2,7 @@ package scheme
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ipusim/internal/errmodel"
@@ -360,6 +361,40 @@ func driveWorkload(t *testing.T, s Scheme, writes int, seed int64) {
 		} else {
 			s.Read(now, off, size)
 		}
+	}
+}
+
+// TestRestoreRefusesOtherConfig pins the Restore contract on the one
+// geometry check, Device.Restore: for every scheme, a template whose
+// flash config differs — more planes per die, or the same chip count on
+// another channel layout — is refused, and the refused receiver replays
+// exactly like an untouched twin.
+func TestRestoreRefusesOtherConfig(t *testing.T) {
+	planes := tinyConfig()
+	planes.PlanesPerDie = 4
+	channels := tinyConfig()
+	channels.Channels, channels.ChipsPerChannel = 4, 1
+	others := map[string]flash.Config{"planes": planes, "channels": channels}
+	for _, name := range schemeNames {
+		t.Run(name, func(t *testing.T) {
+			s := newScheme(t, name, tinyConfig())
+			twin := newScheme(t, name, tinyConfig())
+			driveWorkload(t, s, 400, 3)
+			driveWorkload(t, twin, 400, 3)
+			for what, cfg := range others {
+				tmpl := newScheme(t, name, cfg)
+				driveWorkload(t, tmpl, 200, 5)
+				if s.Restore(tmpl) {
+					t.Fatalf("restore accepted a template with other %s", what)
+				}
+			}
+			driveWorkload(t, s, 600, 7)
+			driveWorkload(t, twin, 600, 7)
+			if !reflect.DeepEqual(s.Metrics(), twin.Metrics()) {
+				t.Errorf("refused restore changed the receiver:\n got %+v\nwant %+v", s.Metrics(), twin.Metrics())
+			}
+			checkConsistency(t, s.Device())
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"ipusim/internal/cache"
@@ -225,11 +226,8 @@ func validate(c JobRequest) error {
 		}
 	case "sensitivity":
 		if _, ok := core.SensitivityParams[c.Param]; !ok {
-			params := make([]string, 0, len(core.SensitivityParams))
-			for p := range core.SensitivityParams {
-				params = append(params, p)
-			}
-			return fmt.Errorf("unknown sensitivity param %q (have %v)", c.Param, params)
+			return fmt.Errorf("unknown sensitivity param %q (have %s)",
+				c.Param, strings.Join(core.SensitivityParamNames, ", "))
 		}
 	case "matrix", "contention":
 	default:
@@ -387,17 +385,12 @@ func closedLoopJob(c JobRequest) jobFunc {
 		if err != nil {
 			return nil, err
 		}
+		defer sim.Release()
 		sim.OnProgress(0, report)
 		res, err := sim.RunClosedLoopSpec(ctx, spec)
 		if err != nil {
-			// A cancelled replay stopped between requests, so the device
-			// is consistent and can rejoin the snapshot cache's free pool.
-			if ctx.Err() != nil {
-				sim.Release()
-			}
 			return nil, err
 		}
-		sim.Release()
 		return res, nil
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -158,6 +159,29 @@ func TestSubmitValidation(t *testing.T) {
 	// Nothing should have been enqueued.
 	if st := mustStats(t, ts); st.Submitted != 0 {
 		t.Fatalf("stats.Submitted = %d after rejected submissions", st.Submitted)
+	}
+}
+
+// TestSensitivityParamErrorSorted asserts the 400 body for an unknown
+// sensitivity parameter names all four parameters in sorted order, so the
+// same request always gets the same body.
+func TestSensitivityParamErrorSorted(t *testing.T) {
+	_, ts := newTestService(t, Options{Workers: 1})
+	const want = "(have backlogcap, gcthreshold, planes, slcratio)"
+	for i := 0; i < 8; i++ {
+		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json",
+			strings.NewReader(`{"kind":"sensitivity","param":"voltage"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), want) {
+			t.Fatalf("HTTP %d %s, want 400 containing %q", resp.StatusCode, body, want)
+		}
 	}
 }
 
