@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race serve serve-test serve-cluster-test bench bench-json bench-baseline bench-check check-schemes check-tenants check-closedloop experiments ablation sensitivity fuzz fuzz-parse fuzz-replay golden clean
+.PHONY: all build test vet race serve serve-test serve-cluster-test bench bench-json bench-baseline bench-check check-schemes check-tenants check-closedloop examples experiments ablation sensitivity fuzz fuzz-parse fuzz-replay golden clean
 
 all: build test
 
@@ -36,8 +36,10 @@ serve-test:
 # sim never re-runs), durable-store restart recovery, the consistent-hash
 # ring units, the coordinator soak — sweeps sharded over two in-process
 # workers with one killed mid-sweep, aggregated rows compared bit-for-bit
-# to a single daemon — and the check that a coordinator rejects every
-# body a single daemon rejects, all under the race detector.
+# to a single daemon — the check that a coordinator rejects every body a
+# single daemon rejects, and the check that a worker's 400 runs the cell
+# in-process without marking the worker dead, all under the race
+# detector. The TestCoordinator pattern selects the coordinator tests.
 serve-cluster-test:
 	$(GO) test -race -count 1 \
 	  -run 'TestCacheHit|TestCanonicalKey|TestJobKey|TestRestartRecovery|TestCoordinator|TestRing|TestStore' \
@@ -86,6 +88,15 @@ check-closedloop:
 	  -run 'TestEvictionOrder|TestSlab|TestWriteCacheSteadyState' ./internal/cache
 	$(GO) test -race -count 1 -run 'TestClosedLoop|TestContention|TestGoldenClosedLoop|TestForEachCell' ./internal/core
 	$(GO) test -race -count 1 -run 'TestContention|TestV4' ./internal/server
+
+# Run every standalone example end to end, so a demo that compiles but
+# fails at run time is caught. Each takes under a second; examples/serve
+# needs a live daemon and is left out.
+EXAMPLES = quickstart endurance hotcold gcpolicy tracereplay
+examples:
+	for ex in $(EXAMPLES); do \
+	  echo "== examples/$$ex"; $(GO) run ./examples/$$ex || exit 1; \
+	done
 
 # Regenerate every table and figure of the paper (plus the P/E sweep).
 experiments:

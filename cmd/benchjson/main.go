@@ -22,6 +22,12 @@
 // comparisons across machines need a loose one. A benchmark whose baseline
 // was zero allocations regresses on any allocation at all. Benchmarks
 // present in only one record are reported but never fail the gate.
+//
+// A record also notes its run environment: the GOMAXPROCS the benchmarks
+// ran at (from the name's -N suffix; 1 when there is none), and the CPU
+// count and Go version of the process that parsed them. Compare prints a
+// note when the two records' environments differ; the note never fails
+// the gate.
 package main
 
 import (
@@ -31,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -47,13 +54,16 @@ type Benchmark struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Record is the document benchjson emits: environment header lines plus
-// every parsed benchmark, and optionally the baseline the run is measured
-// against.
+// Record is the document benchjson emits: environment header lines and
+// the run environment, every parsed benchmark, and optionally the
+// baseline the run is measured against.
 type Record struct {
 	Goos       string       `json:"goos,omitempty"`
 	Goarch     string       `json:"goarch,omitempty"`
 	CPU        string       `json:"cpu,omitempty"`
+	GOMAXPROCS int          `json:"gomaxprocs,omitempty"`
+	NumCPU     int          `json:"num_cpu,omitempty"`
+	GoVersion  string       `json:"go_version,omitempty"`
 	Note       string       `json:"note,omitempty"`
 	Benchmarks []*Benchmark `json:"benchmarks"`
 	Baseline   *Record      `json:"baseline,omitempty"`
@@ -127,9 +137,10 @@ func main() {
 // Parse reads `go test -bench` output. Unrecognised lines (PASS, ok,
 // test log chatter) are skipped. Repeated runs of one benchmark (`-count
 // N`) are merged into a single entry by arithmetic mean, so a record
-// always holds one entry per benchmark name.
+// always holds one entry per benchmark name. GOMAXPROCS comes from the
+// first result line's -N suffix.
 func Parse(r io.Reader) (*Record, error) {
-	rec := &Record{}
+	rec := &Record{NumCPU: runtime.NumCPU(), GoVersion: runtime.Version()}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -148,11 +159,14 @@ func Parse(r io.Reader) (*Record, error) {
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
-		b, err := parseLine(line)
+		b, procs, err := parseLine(line)
 		if err != nil {
 			return nil, fmt.Errorf("line %q: %w", line, err)
 		}
 		if b != nil {
+			if rec.GOMAXPROCS == 0 {
+				rec.GOMAXPROCS = procs
+			}
 			rec.Benchmarks = append(rec.Benchmarks, b)
 		}
 	}
@@ -212,20 +226,22 @@ func mergeRuns(in []*Benchmark) []*Benchmark {
 //	BenchmarkName-8   	 5	 135795009 ns/op	 1301209 requests/s	 115779942 B/op	 12760 allocs/op
 //
 // The name is followed by the iteration count and (value, unit) pairs.
-func parseLine(line string) (*Benchmark, error) {
+// parseLine also returns the GOMAXPROCS the line ran at.
+func parseLine(line string) (*Benchmark, int, error) {
 	fields := strings.Fields(line)
 	if len(fields) < 2 {
-		return nil, nil // a benchmark name echoed without results (b.Run header)
+		return nil, 0, nil // a benchmark name echoed without results (b.Run header)
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return nil, nil // "BenchmarkFoo ... FAIL" or similar
+		return nil, 0, nil // "BenchmarkFoo ... FAIL" or similar
 	}
-	b := &Benchmark{Name: trimProcSuffix(fields[0]), Iterations: iters}
+	name, procs := splitProcSuffix(fields[0])
+	b := &Benchmark{Name: name, Iterations: iters}
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad value %q", fields[i])
+			return nil, 0, fmt.Errorf("bad value %q", fields[i])
 		}
 		switch unit := fields[i+1]; unit {
 		case "ns/op":
@@ -241,20 +257,22 @@ func parseLine(line string) (*Benchmark, error) {
 			b.Metrics[unit] = val
 		}
 	}
-	return b, nil
+	return b, procs, nil
 }
 
-// trimProcSuffix drops the -GOMAXPROCS suffix so records taken on hosts
-// with different core counts still match by name.
-func trimProcSuffix(name string) string {
+// splitProcSuffix drops the -GOMAXPROCS suffix so records taken on hosts
+// with different core counts still match by name, and returns it; go test
+// omits the suffix at GOMAXPROCS 1.
+func splitProcSuffix(name string) (string, int) {
 	i := strings.LastIndexByte(name, '-')
 	if i < 0 {
-		return name
+		return name, 1
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], procs
 }
 
 // loadRecord reads one JSON record from disk.
@@ -288,6 +306,9 @@ func compareFiles(w io.Writer, oldPath, newPath string, timeThr, spaceThr float6
 // regressed beyond its threshold (timeThr for ns/op, spaceThr for B/op and
 // allocs/op).
 func Compare(w io.Writer, oldRec, newRec *Record, timeThr, spaceThr float64) bool {
+	if d := envDiff(oldRec, newRec); d != "" {
+		fmt.Fprintf(w, "note: run environment differs: %s\n", d)
+	}
 	oldBy := make(map[string]*Benchmark, len(oldRec.Benchmarks))
 	for _, b := range oldRec.Benchmarks {
 		oldBy[b.Name] = b
@@ -337,6 +358,28 @@ func Compare(w io.Writer, oldRec, newRec *Record, timeThr, spaceThr float64) boo
 		fmt.Fprintf(w, "\nOK: no regression beyond thresholds (time %.0f%%, space %.0f%%)\n", timeThr*100, spaceThr*100)
 	}
 	return regressed
+}
+
+// envDiff lists the run-environment fields both records carry with
+// different values, or "" when there are none.
+func envDiff(oldRec, newRec *Record) string {
+	count := func(n int) string {
+		if n == 0 {
+			return ""
+		}
+		return strconv.Itoa(n)
+	}
+	var diffs []string
+	for _, f := range []struct{ name, old, new string }{
+		{"GOMAXPROCS", count(oldRec.GOMAXPROCS), count(newRec.GOMAXPROCS)},
+		{"NumCPU", count(oldRec.NumCPU), count(newRec.NumCPU)},
+		{"GoVersion", oldRec.GoVersion, newRec.GoVersion},
+	} {
+		if f.old != "" && f.new != "" && f.old != f.new {
+			diffs = append(diffs, fmt.Sprintf("%s %s -> %s", f.name, f.old, f.new))
+		}
+	}
+	return strings.Join(diffs, ", ")
 }
 
 // delta classifies one metric change. Empty means unremarkable (within

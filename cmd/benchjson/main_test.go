@@ -1,6 +1,7 @@
 package main
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -48,6 +49,26 @@ func TestParse(t *testing.T) {
 	if got := rec.Benchmarks[2].Metrics["MB/s"]; got != 93.29 {
 		t.Errorf("MB/s = %v, want 93.29", got)
 	}
+	if rec.NumCPU != runtime.NumCPU() || rec.GoVersion != runtime.Version() {
+		t.Errorf("env = %d CPUs, %q; want the parsing process's", rec.NumCPU, rec.GoVersion)
+	}
+
+	// The trimmed suffix is the run's GOMAXPROCS; no suffix means 1.
+	const at4 = "BenchmarkA-4 \t 10\t 100 ns/op\nBenchmarkB/sub-4 \t 10\t 5 ns/op\n"
+	rec4, err := Parse(strings.NewReader(at4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec4.GOMAXPROCS != 4 || rec4.Benchmarks[1].Name != "BenchmarkB/sub" {
+		t.Errorf("GOMAXPROCS = %d, second name %q; want 4, BenchmarkB/sub", rec4.GOMAXPROCS, rec4.Benchmarks[1].Name)
+	}
+	rec1, err := Parse(strings.NewReader("BenchmarkA \t 10\t 100 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec1.GOMAXPROCS != 1 {
+		t.Errorf("GOMAXPROCS without suffix = %d, want 1", rec1.GOMAXPROCS)
+	}
 }
 
 // TestParseMergesCounts feeds a -count 3 style output and checks repeated
@@ -85,7 +106,9 @@ func bench(name string, ns, bytes, allocs float64) *Benchmark {
 }
 
 func TestCompare(t *testing.T) {
-	oldRec := &Record{Benchmarks: []*Benchmark{
+	// The old record lacks GoVersion, so only GOMAXPROCS and NumCPU can
+	// be noted.
+	oldRec := &Record{GOMAXPROCS: 1, NumCPU: 2, Benchmarks: []*Benchmark{
 		bench("BenchmarkA", 100, 50, 10),
 		bench("BenchmarkGone", 1, 1, 1),
 		bench("BenchmarkZero", 100, 0, 0),
@@ -94,19 +117,26 @@ func TestCompare(t *testing.T) {
 		name      string
 		newRec    *Record
 		regressed bool
+		note      bool
 	}{
-		{"within threshold", &Record{Benchmarks: []*Benchmark{bench("BenchmarkA", 110, 55, 10)}}, false},
-		{"ns regression", &Record{Benchmarks: []*Benchmark{bench("BenchmarkA", 130, 50, 10)}}, true},
-		{"alloc regression", &Record{Benchmarks: []*Benchmark{bench("BenchmarkA", 100, 50, 13)}}, true},
-		{"improvement", &Record{Benchmarks: []*Benchmark{bench("BenchmarkA", 10, 5, 0)}}, false},
-		{"new benchmark no baseline", &Record{Benchmarks: []*Benchmark{bench("BenchmarkNew", 1e9, 1e9, 1e6)}}, false},
-		{"zero-alloc guarantee lost", &Record{Benchmarks: []*Benchmark{bench("BenchmarkZero", 100, 0, 1)}}, true},
+		{"within threshold", &Record{Benchmarks: []*Benchmark{bench("BenchmarkA", 110, 55, 10)}}, false, false},
+		{"ns regression", &Record{Benchmarks: []*Benchmark{bench("BenchmarkA", 130, 50, 10)}}, true, false},
+		{"alloc regression", &Record{Benchmarks: []*Benchmark{bench("BenchmarkA", 100, 50, 13)}}, true, false},
+		{"improvement", &Record{Benchmarks: []*Benchmark{bench("BenchmarkA", 10, 5, 0)}}, false, false},
+		{"new benchmark no baseline", &Record{Benchmarks: []*Benchmark{bench("BenchmarkNew", 1e9, 1e9, 1e6)}}, false, false},
+		{"zero-alloc guarantee lost", &Record{Benchmarks: []*Benchmark{bench("BenchmarkZero", 100, 0, 1)}}, true, false},
+		{"environment differs", &Record{GOMAXPROCS: 4, NumCPU: 8, GoVersion: "go1.0",
+			Benchmarks: []*Benchmark{bench("BenchmarkA", 100, 50, 10)}}, false, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var sb strings.Builder
 			if got := Compare(&sb, oldRec, c.newRec, 0.20, 0.20); got != c.regressed {
 				t.Errorf("regressed = %v, want %v\nreport:\n%s", got, c.regressed, sb.String())
+			}
+			const note = "note: run environment differs: GOMAXPROCS 1 -> 4, NumCPU 2 -> 8\n"
+			if got := strings.Contains(sb.String(), note); got != c.note {
+				t.Errorf("note printed = %v, want %v\nreport:\n%s", got, c.note, sb.String())
 			}
 		})
 	}

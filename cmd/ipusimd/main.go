@@ -53,6 +53,7 @@ import (
 	"syscall"
 	"time"
 
+	"ipusim/internal/core"
 	"ipusim/internal/server"
 )
 
@@ -60,12 +61,12 @@ func main() {
 	var (
 		addr    = flag.String("addr", ":8077", "listen address")
 		workers = flag.Int("workers", 0, "concurrent jobs (default GOMAXPROCS)")
-		queue   = flag.Int("queue", 64, "bounded job queue capacity (full queue returns 429)")
-		timeout = flag.Duration("timeout", 10*time.Minute, "default per-job wall-clock timeout")
+		queue   = flag.Int("queue", server.DefaultQueueCap, "bounded job queue capacity (full queue returns 429)")
+		timeout = flag.Duration("timeout", server.DefaultJobTimeout, "default per-job wall-clock timeout")
 		drain   = flag.Duration("drain", 30*time.Second, "shutdown drain budget before in-flight jobs are cancelled")
-		scale   = flag.Float64("scale", 0.05, "default trace scale for jobs that omit it")
-		maxJobs = flag.Int("maxjobs", 1024, "retained job records (older terminal jobs are evicted)")
-		cache   = flag.Int("cache", 256, "in-memory result cache capacity (entries)")
+		scale   = flag.Float64("scale", core.DefaultScale, "default trace scale for jobs that omit it")
+		maxJobs = flag.Int("maxjobs", server.DefaultMaxJobs, "retained job records (older terminal jobs are evicted)")
+		cache   = flag.Int("cache", server.DefaultCacheCap, "in-memory result cache capacity (entries)")
 		data    = flag.String("data", "", "data directory for durable jobs and results (empty = in-memory only)")
 		coord   = flag.String("coordinator", "", "comma-separated worker base URLs; sweeps shard across them")
 	)

@@ -84,8 +84,6 @@ const (
 	PageEntryBytes      = 4
 	SubpageEntryBytes   = 8
 	ipuOffsetBitsPerFrm = 2
-	isPrimeEntryBytes   = 4 // IS' value per SLC page (§4.4.1: 4 B each)
-	levelLabelBits      = 2 // block-level label per SLC block (§4.4.1)
 )
 
 // MemoryModel accounts the mapping-table footprint of each scheme for one
@@ -118,19 +116,11 @@ func (m *MemoryModel) MGABytes(peakSubpageEntries int64) int64 {
 // second-level *mapping* state IPU needs (§4.4.1), since a page holds the
 // versions of a single request's data and the table only records which
 // slot is newest. The block labels and IS' values are GC metadata, not
-// mapping table, and are accounted by IPUGCMetadataBytes (the paper lists
-// them separately from the 0.84% mapping overhead).
+// mapping table, and are not counted here (the paper lists them
+// separately from the 0.84% mapping overhead).
 func (m *MemoryModel) IPUBytes(peakSLCFrames int64) int64 {
 	offsets := (peakSLCFrames*ipuOffsetBitsPerFrm + 7) / 8
 	return m.BaselineBytes() + offsets
-}
-
-// IPUGCMetadataBytes accounts the three-level block labels (2 bits per SLC
-// block) and the IS' values (4 bytes per SLC page) of §4.4.1.
-func (m *MemoryModel) IPUGCMetadataBytes() int64 {
-	labels := (int64(m.cfg.SLCBlocks())*levelLabelBits + 7) / 8
-	isPrime := int64(m.cfg.SLCBlocks()) * int64(m.cfg.SLCPagesPerBlock) * isPrimeEntryBytes
-	return labels + isPrime
 }
 
 // Normalized returns scheme bytes relative to the Baseline table.

@@ -130,18 +130,6 @@ func (s *LatencySummary) Distribution() []Bucket {
 	return out
 }
 
-// Merge adds another summary's observations into s.
-func (s *LatencySummary) Merge(o *LatencySummary) {
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	for i := range s.buckets {
-		s.buckets[i] += o.buckets[i]
-	}
-}
-
 // MeanAccumulator tracks the mean of a float series (e.g. per-read BER).
 type MeanAccumulator struct {
 	Count int64
@@ -160,12 +148,6 @@ func (m *MeanAccumulator) Mean() float64 {
 		return 0
 	}
 	return m.Sum / float64(m.Count)
-}
-
-// Merge folds another accumulator into m.
-func (m *MeanAccumulator) Merge(o *MeanAccumulator) {
-	m.Count += o.Count
-	m.Sum += o.Sum
 }
 
 // Table is a plain-text table for experiment output.

@@ -62,17 +62,6 @@ func TestPercentileOrdering(t *testing.T) {
 	}
 }
 
-func TestLatencySummaryMerge(t *testing.T) {
-	var a, b LatencySummary
-	a.Record(100)
-	b.Record(300)
-	b.Record(500)
-	a.Merge(&b)
-	if a.Count != 3 || a.Sum != 900 || a.Max != 500 {
-		t.Errorf("merged: %+v", a)
-	}
-}
-
 func TestMeanAccumulator(t *testing.T) {
 	var m MeanAccumulator
 	if m.Mean() != 0 {
@@ -83,12 +72,6 @@ func TestMeanAccumulator(t *testing.T) {
 	m.Add(3)
 	if m.Mean() != 2 {
 		t.Errorf("mean = %v", m.Mean())
-	}
-	var o MeanAccumulator
-	o.Add(10)
-	m.Merge(&o)
-	if m.Count != 4 || m.Mean() != 4 {
-		t.Errorf("merged mean = %v", m.Mean())
 	}
 }
 

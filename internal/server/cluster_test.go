@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -428,6 +429,49 @@ func TestCoordinatorFallbackAllWorkersDown(t *testing.T) {
 	_, want := runToResult(t, tsr, body, 60*time.Second)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("fallback result differs from single daemon:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestCoordinatorWorker400IsNotAWorkerFault points a coordinator at a
+// fake worker that answers 400 to every submit, as a version-skewed
+// worker would. Every cell must run in-process with the single-daemon
+// bytes, and the worker must stay alive in the ring.
+func TestCoordinatorWorker400IsNotAWorkerFault(t *testing.T) {
+	var submits atomic.Int64
+	skewed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			submits.Add(1)
+			http.Error(w, "unknown field", http.StatusBadRequest)
+			return
+		}
+		http.NotFound(w, r)
+	}))
+	t.Cleanup(skewed.Close)
+
+	copts := Options{Workers: 2, WorkerURLs: []string{skewed.URL}, DefaultScale: 0.01}
+	coordSvc, tsc := newTestService(t, copts)
+	body := `{"kind":"matrix","traces":["ts0"],"schemes":["Baseline","IPU"],"scale":0.02,"seed":3}`
+	_, got := runToResult(t, tsc, body, 60*time.Second)
+
+	_, tsr := newTestService(t, Options{Workers: 2, DefaultScale: 0.01})
+	_, want := runToResult(t, tsr, body, 60*time.Second)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("result differs from single daemon:\n%s\nvs\n%s", got, want)
+	}
+
+	st := mustStatsOf(coordSvc)
+	if st.RemoteCells != 0 || st.FallbackCells != 2 {
+		t.Fatalf("remote %d fallback %d, want all 2 cells local", st.RemoteCells, st.FallbackCells)
+	}
+	if n := submits.Load(); n != 2 {
+		t.Fatalf("worker saw %d submits, want one per cell and no retry", n)
+	}
+	var view ClusterView
+	if code := getJSON(t, tsc, "/v1/cluster", &view); code != http.StatusOK {
+		t.Fatalf("cluster view: HTTP %d", code)
+	}
+	if !view.Alive[skewed.URL] {
+		t.Fatalf("cluster view = %+v, want the refusing worker alive", view)
 	}
 }
 

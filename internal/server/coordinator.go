@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -28,7 +29,9 @@ import (
 // is removed from the ring (remapping only ~1/N of the keyspace); its
 // cells retry on the new owner and, when no worker can serve them, fall
 // back to in-process execution — a sweep completes even with the whole
-// fleet down.
+// fleet down. A worker that answers 400 on submit parsed the sub-job and
+// refused it (a version-skewed worker): it stays in the ring and the cell
+// runs in-process.
 type coordinator struct {
 	srv    *Server
 	client *http.Client
@@ -260,9 +263,14 @@ func (c *coordinator) workers() int {
 	return max(runtime.GOMAXPROCS(0), 2*c.ring.size())
 }
 
+// errRefused reports a worker's 400 on submit: a job error, not a worker
+// fault.
+var errRefused = errors.New("sub-job refused")
+
 // place runs one sub-job: on the ring owner of its key, then once more on
 // the post-failure owner, then in-process through local, so a sweep
-// completes even with the whole fleet down.
+// completes even with the whole fleet down. A refused sub-job goes
+// straight to local and leaves the worker alive.
 func (c *coordinator) place(ctx context.Context, sub JobRequest, scale float64, local func() (*core.Result, error)) (*core.Result, error) {
 	// Placement hashes the sub-job's content address — the same key the
 	// worker's own result cache uses — so repeated sweeps hit warm caches.
@@ -280,6 +288,9 @@ func (c *coordinator) place(ctx context.Context, sub JobRequest, scale float64, 
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
+		if errors.Is(err, errRefused) {
+			break
+		}
 		c.markDead(node)
 	}
 	c.fallbackCells.Add(1)
@@ -287,8 +298,9 @@ func (c *coordinator) place(ctx context.Context, sub JobRequest, scale float64, 
 }
 
 // dispatch submits a cell sub-job to one worker and polls its result.
-// A 429 (worker queue full) backs off and resubmits; any transport or
-// server error is returned to the caller for rerouting.
+// A 429 (worker queue full) backs off and resubmits, a 400 returns
+// errRefused, and any other transport or server error is returned to the
+// caller for rerouting.
 func (c *coordinator) dispatch(ctx context.Context, node string, req JobRequest) (*core.Result, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -312,6 +324,10 @@ func (c *coordinator) dispatch(ctx context.Context, node string, req JobRequest)
 				return nil, err
 			}
 			continue
+		}
+		if resp.StatusCode == http.StatusBadRequest {
+			drain(resp)
+			return nil, fmt.Errorf("worker %s: %w", node, errRefused)
 		}
 		if resp.StatusCode != http.StatusAccepted {
 			drain(resp)

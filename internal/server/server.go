@@ -40,24 +40,33 @@ import (
 	"ipusim/internal/core"
 )
 
+// The production defaults Options fills for its zero fields.
+const (
+	DefaultQueueCap   = 64
+	DefaultJobTimeout = 10 * time.Minute
+	DefaultMaxJobs    = 1024
+	DefaultCacheCap   = 256
+)
+
 // Options configures a Server. The zero value is usable: every field has a
 // production default.
 type Options struct {
 	// Workers bounds concurrently running jobs; 0 means GOMAXPROCS.
 	Workers int
 	// QueueCap bounds jobs waiting to run; a full queue rejects
-	// submissions with 429. 0 means 64.
+	// submissions with 429. 0 means DefaultQueueCap.
 	QueueCap int
 	// JobTimeout caps each job's wall-clock run time unless the request
-	// overrides it; 0 means 10 minutes. Negative means no timeout.
+	// overrides it; 0 means DefaultJobTimeout. Negative means no timeout.
 	JobTimeout time.Duration
 	// DefaultScale is the trace scale used when a request omits it;
-	// 0 means 0.05.
+	// 0 means core.DefaultScale.
 	DefaultScale float64
 	// MaxJobs bounds retained job records (terminal jobs beyond the cap
-	// are evicted oldest-first); 0 means 1024.
+	// are evicted oldest-first); 0 means DefaultMaxJobs.
 	MaxJobs int
-	// CacheCap bounds the in-memory result cache in entries; 0 means 256.
+	// CacheCap bounds the in-memory result cache in entries; 0 means
+	// DefaultCacheCap.
 	CacheCap int
 	// DataDir, when non-empty, makes the server durable: job records and
 	// results persist under it (atomic write-then-rename), and Open
@@ -75,19 +84,19 @@ func (o *Options) normalize() {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if o.QueueCap <= 0 {
-		o.QueueCap = 64
+		o.QueueCap = DefaultQueueCap
 	}
 	if o.JobTimeout == 0 {
-		o.JobTimeout = 10 * time.Minute
+		o.JobTimeout = DefaultJobTimeout
 	}
 	if o.DefaultScale <= 0 {
 		o.DefaultScale = core.DefaultScale
 	}
 	if o.MaxJobs <= 0 {
-		o.MaxJobs = 1024
+		o.MaxJobs = DefaultMaxJobs
 	}
 	if o.CacheCap <= 0 {
-		o.CacheCap = 256
+		o.CacheCap = DefaultCacheCap
 	}
 }
 

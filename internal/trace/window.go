@@ -1,55 +1,5 @@
 package trace
 
-// Clip returns a new trace containing the records with Time in [from, to),
-// rebased so the first kept record starts at zero. Use it to replay a
-// window of a long real trace.
-func (t *Trace) Clip(from, to int64) *Trace {
-	out := &Trace{Name: t.Name}
-	var base int64
-	haveBase := false
-	for i := 0; i < t.Len(); i++ {
-		r := t.At(i)
-		if r.Time < from || r.Time >= to {
-			continue
-		}
-		if !haveBase {
-			base = r.Time
-			haveBase = true
-		}
-		r.Time -= base
-		out.Append(r)
-	}
-	return out
-}
-
-// FilterOp returns a new trace containing only records of the given
-// operation type, preserving timestamps.
-func (t *Trace) FilterOp(op OpType) *Trace {
-	out := &Trace{Name: t.Name}
-	for i := 0; i < t.Len(); i++ {
-		if t.op[i] == op {
-			out.Append(t.At(i))
-		}
-	}
-	return out
-}
-
-// Head returns a new trace with at most n leading records.
-func (t *Trace) Head(n int) *Trace {
-	if n > t.Len() {
-		n = t.Len()
-	}
-	if n < 0 {
-		n = 0
-	}
-	out := &Trace{Name: t.Name}
-	out.Reserve(n)
-	for i := 0; i < n; i++ {
-		out.Append(t.At(i))
-	}
-	return out
-}
-
 // Scale returns a new trace with all timestamps multiplied by factor,
 // compressing (factor < 1) or stretching (factor > 1) the arrival process
 // to change the load intensity without altering the access pattern.

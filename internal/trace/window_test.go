@@ -11,61 +11,6 @@ func windowFixture() *Trace {
 	)
 }
 
-func TestClip(t *testing.T) {
-	tr := windowFixture()
-	got := tr.Clip(100, 300)
-	if got.Len() != 2 {
-		t.Fatalf("records = %d", got.Len())
-	}
-	if got.At(0).Time != 0 || got.At(1).Time != 100 {
-		t.Errorf("timestamps not rebased: %+v %+v", got.At(0), got.At(1))
-	}
-	if got.At(0).Op != OpRead || got.At(1).Op != OpWrite {
-		t.Error("wrong records kept")
-	}
-	if tr.Len() != 4 {
-		t.Error("Clip mutated the source")
-	}
-	if empty := tr.Clip(900, 1000); empty.Len() != 0 {
-		t.Error("out-of-range clip not empty")
-	}
-}
-
-func TestFilterOp(t *testing.T) {
-	tr := windowFixture()
-	reads := tr.FilterOp(OpRead)
-	writes := tr.FilterOp(OpWrite)
-	if reads.Len() != 2 || writes.Len() != 2 {
-		t.Fatalf("split %d/%d", reads.Len(), writes.Len())
-	}
-	for i := 0; i < reads.Len(); i++ {
-		if reads.At(i).Op != OpRead {
-			t.Error("write leaked into read filter")
-		}
-	}
-	if reads.At(0).Time != 100 {
-		t.Error("timestamps must be preserved")
-	}
-}
-
-func TestHead(t *testing.T) {
-	tr := windowFixture()
-	if got := tr.Head(2); got.Len() != 2 || got.At(1).Time != 100 {
-		t.Errorf("Head(2): len %d", got.Len())
-	}
-	if got := tr.Head(99); got.Len() != 4 {
-		t.Error("Head beyond length must clamp")
-	}
-	if got := tr.Head(-1); got.Len() != 0 {
-		t.Error("negative Head must be empty")
-	}
-	h := tr.Head(4)
-	h.off[0] = 999
-	if tr.At(0).Offset == 999 {
-		t.Error("Head must copy records")
-	}
-}
-
 func TestScale(t *testing.T) {
 	tr := windowFixture()
 	fast := tr.Scale(0.5)
