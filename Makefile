@@ -56,10 +56,13 @@ golden:
 # config check), the cross-scheme differential runner, the golden metric
 # snapshots, the one copy path (cloned and recycled devices replay like
 # fresh builds, clones stay independent, a device a replay left
-# mid-request is never pooled) and the flash array's in-place restore.
+# mid-request is never pooled), the structural snapshot key (copies
+# re-stamped with another P/E or error model replay like fresh builds, a
+# Fig. 13 sweep builds one template per scheme, every config field is
+# classified) and the flash array's in-place restore.
 check-schemes:
 	$(GO) test -count 1 ./internal/scheme
-	$(GO) test -count 1 -run 'TestDifferential|TestRunDifferential|TestGolden|TestRegistry|TestSchemeNames|TestCloneMatchesFreshReplay|TestRecycledCloneMatchesFreshReplay|TestCloneIndependence|TestReleaseDrops' ./internal/core
+	$(GO) test -count 1 -run 'TestDifferential|TestRunDifferential|TestGolden|TestRegistry|TestSchemeNames|TestCloneMatchesFreshReplay|TestRecycledCloneMatchesFreshReplay|TestCloneIndependence|TestReleaseDrops|TestRestampMatchesFreshReplay|TestFig13SweepHitsSnapshotCache|TestSnapshotKeyClassifiesEveryField|TestNewValidatesOnCacheHit' ./internal/core
 	$(GO) test -count 1 -run TestRestore ./internal/flash
 
 # The multi-tenant/spec-API acceptance gate: the spec-vs-legacy

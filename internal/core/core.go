@@ -102,20 +102,25 @@ type Simulator struct {
 	progressEvery int
 }
 
-// New builds a simulator. The flash configuration is copied, so one Config
+// New builds a simulator. The configuration is copied, so one Config
 // value can seed many simulators. Device construction goes through the
-// precondition-snapshot cache: the first simulator for a (flash, error,
-// scheme) combination builds and pre-fills a template device, and every
-// later one starts from a deep clone of it — identical state at a fraction
-// of the start-up cost. The invariant checker is attached per instance,
+// precondition-snapshot cache: the first simulator for a (structural
+// flash config, scheme) combination builds and pre-fills a template
+// device, and every later one starts from a deep clone of it, re-stamped
+// with its own PEBaseline and error model — identical state at a fraction
+// of the start-up cost. The device reads the simulator's own copy of the
+// config, so re-stamping allocates nothing. cfg is validated on every
+// call, cache hit or not. The invariant checker is attached per instance,
 // after cloning.
 func New(cfg Config) (*Simulator, error) {
-	s, key, err := snapshotScheme(cfg)
+	sim := &Simulator{cfg: cfg, pooled: true}
+	s, key, err := snapshotScheme(&sim.cfg)
 	if err != nil {
 		return nil, err
 	}
 	s.Device().AttachChecker(cfg.Check)
-	return &Simulator{cfg: cfg, scheme: s, key: key, pooled: true}, nil
+	sim.scheme, sim.key = s, key
+	return sim, nil
 }
 
 // NewFresh builds a simulator from scratch, bypassing the snapshot cache.

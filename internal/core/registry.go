@@ -98,14 +98,23 @@ func lookupScheme(name string) (SchemeBuilder, bool) {
 // buildScheme constructs (and, per cfg.Flash.PreFillMLC, preconditions) a
 // scheme instance from scratch via the registry.
 func buildScheme(cfg Config) (scheme.Scheme, error) {
-	build, ok := lookupScheme(cfg.Scheme)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown scheme %q (registered: %s)",
-			cfg.Scheme, strings.Join(Schemes(), ", "))
+	build, err := schemeBuilder(cfg.Scheme)
+	if err != nil {
+		return nil, err
 	}
 	fc := cfg.Flash // copy: the scheme retains a pointer
 	em := cfg.Error
 	return build(&fc, &em)
+}
+
+// schemeBuilder resolves a registered builder or reports the unknown name.
+func schemeBuilder(name string) (SchemeBuilder, error) {
+	build, ok := lookupScheme(name)
+	if !ok {
+		return nil, fmt.Errorf("core: unknown scheme %q (registered: %s)",
+			name, strings.Join(Schemes(), ", "))
+	}
+	return build, nil
 }
 
 func init() {

@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 
-	"ipusim/internal/errmodel"
 	"ipusim/internal/flash"
 	"ipusim/internal/scheme"
 )
@@ -11,18 +10,30 @@ import (
 // The precondition-snapshot cache. Building a simulator is dominated by
 // MLC preconditioning: PreFillMLC programs the entire logical space before
 // the first request replays. Every sweep job used to pay that cost. The
-// cache instead builds one preconditioned template per (flash config,
-// error model, scheme) and hands each job a deep clone — two bulk memory
+// cache instead builds one preconditioned template per (structural flash
+// config, scheme) and hands each job a deep clone — two bulk memory
 // copies instead of O(device) program operations. Templates are read-only
 // once built and cloning never mutates them, so any number of jobs can
 // clone the same template concurrently.
+//
+// The key leaves out the parametric fields: PEBaseline and the whole
+// error model. Building and pre-filling a device reads neither; only the
+// read path's bit-error evaluation does. A copy handed out is therefore
+// re-stamped with the caller's config and error model (Device.Restamp),
+// which makes it bit-for-bit the device a from-scratch build would give.
+// The four P/E levels of Figs. 13–14 share one template per scheme.
 
-// snapshotKey identifies one device template. Both config types are flat
-// comparable structs, so the key is usable directly as a map key.
+// snapshotKey identifies one device template. flash is the structural
+// part of the config (flash.Config.Structural), a flat comparable struct,
+// so the key is usable directly as a map key.
 type snapshotKey struct {
 	flash  flash.Config
-	err    errmodel.Model
 	scheme string
+}
+
+// snapshotKeyOf returns the template key of cfg.
+func snapshotKeyOf(cfg *Config) snapshotKey {
+	return snapshotKey{flash: cfg.Flash.Structural(), scheme: cfg.Scheme}
 }
 
 // snapshotEntry is one cached template. ready closes when the build
@@ -50,10 +61,10 @@ const snapshotFreeCap = 4
 
 // snapshotCacheCap bounds the number of resident templates. A template at
 // the default geometry holds the whole flash array (~18 MB), and
-// sensitivity sweeps create one key per config variation, so the cache
-// evicts least-recently-used templates beyond the cap. The key includes
-// PEBaseline, so a default P/E sweep (4 baselines x 5 schemes = 20 keys)
-// does not fit: it cycles through the LRU and rebuilds templates.
+// sensitivity sweeps create one key per structural config variation, so
+// the cache evicts least-recently-used templates beyond the cap. P/E and
+// error-model sweeps add no keys: a default Fig. 13/14 sweep over five
+// schemes needs five templates.
 var snapshotCacheCap = 16
 
 var (
@@ -80,12 +91,22 @@ func snapshotStats() (hits, misses uint64) {
 	return snapshotHits, snapshotMiss
 }
 
-// snapshotScheme returns a fresh scheme instance for cfg, cloned from the
+// snapshotScheme returns a fresh scheme instance for *cfg, cloned from the
 // cached preconditioned template (building and caching it on first use).
 // Pooled released clones are recycled by restoring them from the template
-// instead of allocating a new copy.
-func snapshotScheme(cfg Config) (scheme.Scheme, snapshotKey, error) {
-	key := snapshotKey{flash: cfg.Flash, err: cfg.Error, scheme: cfg.Scheme}
+// instead of allocating a new copy. Either way the instance is re-stamped
+// to read cfg.Flash and cfg.Error in place, so cfg must stay unchanged
+// until the instance is released.
+//
+// A cache hit builds nothing, so cfg is validated here on every call,
+// reporting what a from-scratch build would. That also makes a build
+// error a function of the key alone: waiters on an in-flight build never
+// inherit an error caused by another caller's parametric fields.
+func snapshotScheme(cfg *Config) (scheme.Scheme, snapshotKey, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, snapshotKey{}, err
+	}
+	key := snapshotKeyOf(cfg)
 
 	snapshotMu.Lock()
 	snapshotClock++
@@ -108,7 +129,7 @@ func snapshotScheme(cfg Config) (scheme.Scheme, snapshotKey, error) {
 		evictSnapshotsLocked()
 		snapshotMu.Unlock()
 
-		s, err := buildScheme(cfg)
+		s, err := buildScheme(*cfg)
 		snapshotMu.Lock()
 		e.s, e.buildErr = s, err
 		e.built = true
@@ -123,10 +144,25 @@ func snapshotScheme(cfg Config) (scheme.Scheme, snapshotKey, error) {
 	if e.buildErr != nil {
 		return nil, key, e.buildErr
 	}
-	if reuse != nil && reuse.Restore(e.s) {
-		return reuse, key, nil
+	s := reuse
+	if s == nil || !s.Restore(e.s) {
+		s = e.s.Clone()
 	}
-	return e.s.Clone(), key, nil
+	s.Device().Restamp(&cfg.Flash, &cfg.Error)
+	return s, key, nil
+}
+
+// validate reports the error a from-scratch build of c would report, in
+// the same order: an unknown scheme, then the error model, then the flash
+// config.
+func (c *Config) validate() error {
+	if _, err := schemeBuilder(c.Scheme); err != nil {
+		return err
+	}
+	if err := c.Error.Validate(); err != nil {
+		return err
+	}
+	return c.Flash.Validate()
 }
 
 // Release hands the scheme instance back to its template's free pool for
@@ -137,7 +173,8 @@ func snapshotScheme(cfg Config) (scheme.Scheme, snapshotKey, error) {
 // cache, whose template has been evicted or whose pool is full, or that a
 // replay left mid-request (a panic, a failed final check) is dropped to
 // the garbage collector instead, so `defer sim.Release()` is always safe.
-// Release is idempotent.
+// A pooled device is re-stamped with its template's config, so it keeps
+// nothing of the released simulator alive. Release is idempotent.
 func (s *Simulator) Release() {
 	if s.scheme != nil && s.pooled {
 		d := s.scheme.Device()
@@ -145,6 +182,8 @@ func (s *Simulator) Release() {
 		d.TestHooks.AfterHostWrite = nil
 		snapshotMu.Lock()
 		if e, ok := snapshotCache[s.key]; ok && e.built && e.buildErr == nil && len(e.free) < snapshotFreeCap {
+			t := e.s.Device()
+			d.Restamp(t.Cfg, t.Err)
 			e.free = append(e.free, s.scheme)
 		}
 		snapshotMu.Unlock()

@@ -238,22 +238,23 @@ func TestSnapshotSkipsPreconditioning(t *testing.T) {
 	}
 }
 
-// TestSnapshotCacheEvicts exercises the LRU bound.
+// TestSnapshotCacheEvicts exercises the LRU bound. The three keys differ
+// in SLCRatio, a structural field: PEBaseline no longer separates keys.
 func TestSnapshotCacheEvicts(t *testing.T) {
 	oldCap := snapshotCacheCap
 	snapshotCacheCap = 2
 	defer func() { snapshotCacheCap = oldCap }()
 	ResetSnapshotCache()
 
-	mk := func(pe int) Config {
+	mk := func(slcRatio float64) Config {
 		cfg := DefaultConfig()
 		cfg.Flash = snapshotFlash()
-		cfg.Flash.PEBaseline = pe
+		cfg.Flash.SLCRatio = slcRatio
 		cfg.Scheme = "Baseline"
 		return cfg
 	}
-	for _, pe := range []int{1000, 2000, 3000} {
-		if _, err := New(mk(pe)); err != nil {
+	for _, r := range []float64{0.125, 0.1875, 0.25} {
+		if _, err := New(mk(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,9 +265,10 @@ func TestSnapshotCacheEvicts(t *testing.T) {
 		t.Errorf("cache holds %d templates, cap is 2", n)
 	}
 
-	// The oldest key (pe=1000) was evicted: using it again is a miss.
+	// The oldest key (SLCRatio 0.125) was evicted: using it again is a
+	// miss.
 	_, m0 := snapshotStats()
-	if _, err := New(mk(1000)); err != nil {
+	if _, err := New(mk(0.125)); err != nil {
 		t.Fatal(err)
 	}
 	if _, m1 := snapshotStats(); m1-m0 != 1 {

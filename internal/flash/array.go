@@ -264,6 +264,16 @@ func (a *Array) Restore(t *Array) {
 // Config returns the geometry the array was built with.
 func (a *Array) Config() *Config { return a.cfg }
 
+// SetConfig points a at cfg, which must share a's structural config (see
+// Config.Structural); it panics otherwise. A copied device re-stamped with
+// another PEBaseline uses it to keep every layer on one config.
+func (a *Array) SetConfig(cfg *Config) {
+	if cfg.Structural() != a.cfg.Structural() {
+		panic("flash: SetConfig with a different structural config")
+	}
+	a.cfg = cfg
+}
+
 // Block returns the block with the given ID.
 func (a *Array) Block(id int) *Block { return &a.blocks[id] }
 

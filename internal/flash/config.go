@@ -168,6 +168,19 @@ type Config struct {
 	Timing Timing
 }
 
+// Structural returns c with its parametric fields cleared. The structural
+// part — geometry, timing, GC thresholds and the pre-fill layout — decides
+// every bit of a freshly built (and pre-filled) device. The one parametric
+// field, PEBaseline, is read only when a read's bit error rate is
+// evaluated, never while building or pre-filling. Two configs with the
+// same structural part therefore build identical devices, and a copy of
+// one is turned into the other by pointing it at the other config.
+func (c *Config) Structural() Config {
+	s := *c
+	s.PEBaseline = 0
+	return s
+}
+
 // SlotsPerPage returns the number of subpage slots in one physical page.
 func (c *Config) SlotsPerPage() int { return c.PageSizeBytes / c.SubpageSizeBytes }
 

@@ -102,8 +102,10 @@ type scratch struct {
 	// Read-path memos. berMemo caches the Fig. 2 base rate per erase
 	// count ([0] conventional, [1] partial); unmappedCost caches the
 	// constant ECC cost of reading never-written data. Both are pure
-	// caches of deterministic functions of the immutable (Cfg, Err) pair,
-	// so they cannot change any result bit.
+	// caches of deterministic functions of Cfg.PEBaseline and Err, so they
+	// cannot change any result bit. They are the only state derived from
+	// those two, and Restore and Restamp, the only ways to change them,
+	// drop both memos.
 	berMemo        [2][]float64
 	unmappedCost   errmodel.ReadCost
 	unmappedCostOK bool
@@ -175,10 +177,10 @@ func NewDevice(cfg *flash.Config, em *errmodel.Model) (*Device, error) {
 // Clone returns a deep copy of the device: a Restore into an empty
 // Device. Flash array, engine, mapping and metrics are duplicated so the
 // clone and the original evolve fully independently, while the immutable
-// config and error model are shared. Per-call scratch starts empty (it is
-// rebuilt lazily) and no checker is attached — call AttachChecker on the
-// clone. Clone a device only between requests, never while a GC is
-// mid-flight.
+// config and error model are shared until Restamp points the clone at
+// its own. Per-call scratch starts empty (it is rebuilt lazily) and no
+// checker is attached — call AttachChecker on the clone. Clone a device
+// only between requests, never while a GC is mid-flight.
 func (d *Device) Clone() *Device {
 	c := &Device{}
 	c.Restore(d)
@@ -189,14 +191,16 @@ func (d *Device) Clone() *Device {
 // An empty Device (the zero value) allocates its components; a built one
 // reuses its component objects, backing stores and hot-path scratch — the
 // recycled-clone start-up path, one bulk copy pass with no garbage. A
-// built d whose flash config differs from t's refuses and is left
-// untouched. The result starts with no checker and no test hooks.
+// built d whose structural flash config (flash.Config.Structural)
+// differs from t's refuses and is left untouched. The result shares t's
+// config and error model, starts with no checker and no test hooks, and
+// may be re-stamped with another PEBaseline or error model by Restamp.
 func (d *Device) Restore(t *Device) bool {
 	switch {
 	case d.Cfg == nil:
 		d.Arr, d.Eng, d.Map, d.Met = t.Arr.Clone(), t.Eng.Clone(), t.Map.Clone(), &Metrics{}
 		d.excl = *NewExcludeSet(t.Cfg.Blocks)
-	case *d.Cfg != *t.Cfg:
+	case d.Cfg.Structural() != t.Cfg.Structural():
 		return false
 	default:
 		d.Arr.Restore(t.Arr)
@@ -219,13 +223,32 @@ func (d *Device) Restore(t *Device) bool {
 	d.Arr, d.Eng, d.Map, d.Met = arr, eng, m, met
 	d.slcFree, d.mlcFree, d.open, d.mlcOpen, d.blockReadyAt = slcFree, mlcFree, open, mlcOpen, blockReadyAt
 	d.scratch = sc
-	// The memos are keyed by the error model, which t need not share:
-	// keep d's arrays but drop their contents.
-	d.berMemo = [2][]float64{sc.berMemo[0][:0], sc.berMemo[1][:0]}
-	d.unmappedCostOK = false
+	d.dropReadMemos() // d's memos were computed under d's old config
 	d.Check = nil
 	d.TestHooks.AfterHostWrite = nil
 	return true
+}
+
+// Restamp points d at cfg and em: the caller's PEBaseline and error
+// model, neither of which building or pre-filling a device reads. cfg
+// must share d's structural config (flash.Config.Structural); Restamp
+// panics otherwise. The flash array and the timing engine are pointed at
+// cfg too, so every layer reads one config, and the read-path memos are
+// dropped. A device restored from a template and re-stamped replays
+// bit-for-bit like one built from scratch under (cfg, em). Restamp
+// allocates nothing; the caller keeps cfg and em alive and unchanged
+// while d uses them.
+func (d *Device) Restamp(cfg *flash.Config, em *errmodel.Model) {
+	d.Arr.SetConfig(cfg)
+	d.Eng.SetConfig(cfg)
+	d.Cfg, d.Err = cfg, em
+	d.dropReadMemos()
+}
+
+// dropReadMemos empties the read-path memos, keeping their arrays.
+func (d *Device) dropReadMemos() {
+	d.berMemo = [2][]float64{d.berMemo[0][:0], d.berMemo[1][:0]}
+	d.unmappedCostOK = false
 }
 
 // preFill preconditions the device: the whole logical space is written

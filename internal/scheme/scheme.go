@@ -50,8 +50,8 @@ type Scheme interface {
 	// Restore overwrites this instance with a deep copy of from, reusing
 	// its own allocations — a Clone into recycled storage. It reports false
 	// (leaving the receiver untouched) when from is a different concrete
-	// scheme, variant or flash config. Like Clone, the restored instance
-	// starts with no checker attached.
+	// scheme, variant or structural flash config (flash.Config.Structural).
+	// Like Clone, the restored instance starts with no checker attached.
 	Restore(from Scheme) bool
 }
 

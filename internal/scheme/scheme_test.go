@@ -583,3 +583,43 @@ func TestDeterministicRuns(t *testing.T) {
 		t.Errorf("simulation not deterministic: (%d,%d,%g) vs (%d,%d,%g)", a1, b1, c1, a2, b2, c2)
 	}
 }
+
+// TestRestampPointsEveryLayer pins Restamp's contract: a config that
+// differs only in PEBaseline (and any error model) is taken by the device,
+// its flash array and its timing engine alike, with the read memos
+// dropped; a config with another structure panics and leaves the device
+// untouched.
+func TestRestampPointsEveryLayer(t *testing.T) {
+	s := newScheme(t, "IPU", tinyConfig())
+	d := s.Device()
+	driveWorkload(t, s, 400, 3)
+	if len(d.berMemo[0])+len(d.berMemo[1]) == 0 || !d.unmappedCostOK {
+		t.Fatal("the workload filled no read memo; the drop is untested")
+	}
+
+	worn := tinyConfig()
+	worn.PEBaseline = 8000
+	em := errmodel.Default()
+	em.CorrectableBits = 24
+	d.Restamp(&worn, &em)
+	if d.Cfg != &worn || d.Err != &em || d.Arr.Config() != &worn || d.Eng.Config() != &worn {
+		t.Error("Restamp left a layer on the old config")
+	}
+	if len(d.berMemo[0])+len(d.berMemo[1]) != 0 || d.unmappedCostOK {
+		t.Error("Restamp kept read memos computed under the old config")
+	}
+
+	planes := tinyConfig()
+	planes.PlanesPerDie = 4
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Restamp accepted a config with other planes per die")
+			}
+		}()
+		d.Restamp(&planes, &em)
+	}()
+	if d.Cfg != &worn || d.Arr.Config() != &worn || d.Eng.Config() != &worn {
+		t.Error("a refused Restamp changed the device")
+	}
+}

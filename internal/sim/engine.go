@@ -87,6 +87,18 @@ func NewEngine(cfg *flash.Config) *Engine {
 	return e
 }
 
+// Config returns the config e reads its geometry and timing from.
+func (e *Engine) Config() *flash.Config { return e.cfg }
+
+// SetConfig points e at cfg, which must share e's structural config (see
+// flash.Config.Structural); it panics otherwise.
+func (e *Engine) SetConfig(cfg *flash.Config) {
+	if cfg.Structural() != e.cfg.Structural() {
+		panic("sim: SetConfig with a different structural config")
+	}
+	e.cfg = cfg
+}
+
 // Clone returns a deep copy of the engine sharing only the immutable
 // config.
 func (e *Engine) Clone() *Engine {
